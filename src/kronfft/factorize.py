@@ -27,11 +27,13 @@ from .tensor import (
     Permutation,
     StructuredOperator,
     _check_dense_limit,
+    _check_states,
     apply_structured,
     basis_projector,
     digit_reversal,
     embed_term,
     identity,
+    reverse_digits,
     single_site_operator,
     unitarity_residual,
 )
@@ -70,10 +72,11 @@ class FactorizationPlan:
 
     @property
     def reversal(self) -> Permutation:
-        """The digit-reversal permutation, materialized on demand.
+        """The digit-reversal permutation, built on each access.
 
-        Its image has d**n entries, so this is only touched by dense-scale
-        operations; symbolic work (gate counting, lowering) never builds it.
+        Its image has d**n entries and nothing keeps it.  ``fft_apply`` and
+        ``plan_product`` reverse the digits by a transpose instead; symbolic
+        work (gate counting, lowering) never builds it.
         """
         return digit_reversal(self.n, self.d)
 
@@ -235,7 +238,7 @@ def plan_product(plan: FactorizationPlan, dense_limit: int = DEFAULT_DENSE_LIMIT
     out = np.eye(plan.dim, dtype=complex)
     for f in plan.factors:
         out = apply_structured(f, out)
-    return plan.reversal.apply(out)
+    return reverse_digits(out, plan.n, plan.d)
 
 
 def verify_plan(
@@ -262,17 +265,21 @@ def verify_plan(
 def fft_apply(plan: FactorizationPlan, x: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Transform a vector through the plan without expanding any factor.
 
+    ``x`` must have shape ``(d**n,)`` or ``(d**n, m)``; in the second case each
+    column is transformed.  Any other number of dimensions raises
+    ``ValueError``.  The result equals ``apply_structured`` of each factor in
+    turn followed by ``plan.reversal.apply``, bit for bit.
+
     The inverse transform conjugates on the way in and out, which applies the
     conjugate-transpose of the (symmetric) DFT matrix.
     """
     x = np.asarray(x, dtype=complex)
-    if x.shape[0] != plan.dim:
-        raise ValueError(f"vector length {x.shape[0]} does not match plan dimension {plan.dim}")
+    _check_states(x, plan.dim, "plan")
     work = np.conj(x) if inverse else x
     for f in plan.factors:
         work = apply_structured(f, work)
-    work = plan.reversal.apply(work)
-    return np.conj(work) if inverse else work
+    work = reverse_digits(work, plan.n, plan.d)
+    return np.conj(work, out=work) if inverse else work
 
 
 # -- plan serialization -------------------------------------------------------

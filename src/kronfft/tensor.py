@@ -12,6 +12,7 @@ All values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,12 @@ class StructuredOperator:
     def dim(self) -> int:
         return self.local_dim**self.n_sites
 
+    @functools.cached_property
+    def _kernel(self) -> _Kernel | None:
+        # Compiled on the first dense apply and kept for the operator's
+        # lifetime; None when the operator is applied term by term.
+        return _compile(self)
+
 
 def embed_term(
     n: int, d: int, sites: dict[int, np.ndarray], coefficient: complex = 1.0
@@ -234,16 +241,148 @@ def _apply_term(term: KronTerm, flat: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _check_states(x: np.ndarray, dim: int, what: str) -> None:
+    """Accept a vector of shape ``(dim,)`` or a column batch of shape ``(dim, m)``."""
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected shape (N,) or (N, m), got {x.shape}")
+    if x.shape[0] != dim:
+        raise ValueError(f"vector length {x.shape[0]} does not match {what} dimension {dim}")
+
+
+#: Trailing extents up to this are too short for a batched ``np.matmul``,
+#: which then pays its per-batch overhead on (d, d) @ (d, rest) products.
+_SHORT_REST = 16
+
+
+def _contract(m: np.ndarray, view: np.ndarray) -> np.ndarray:
+    """``m`` applied to the middle axis of a ``(left, d, rest)`` view, as a new array.
+
+    Long trailing extents use a batched ``np.matmul``.  Short ones use a
+    d*d-step axpy loop for d = 2, and otherwise move the site axis last for
+    one ``(left*rest, d) @ (d, d)`` product, which beats d*d strided passes.
+    """
+    left, d, rest = view.shape
+    if rest > _SHORT_REST:
+        return np.matmul(m, view)
+    if d > 2 or rest == 1:
+        moved = np.ascontiguousarray(view.transpose(0, 2, 1)).reshape(left * rest, d)
+        return np.ascontiguousarray((moved @ m.T).reshape(left, rest, d).transpose(0, 2, 1))
+    out = np.empty_like(view)
+    for i in range(d):
+        row = out[:, i]
+        np.multiply(view[:, 0], m[i, 0], out=row)
+        for j in range(1, d):
+            row += m[i, j] * view[:, j]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """A structured operator as one site contraction and one diagonal multiply.
+
+    ``matrix`` (``None`` when the operator is diagonal) acts on ``site``.  The
+    diagonal multiply views the state as ``grouping + (m,)``, whose axes are
+    alternating runs of sites the diagonal depends on and sites it does not,
+    and scales the slice ``box`` of that view by ``diagonal``; the diagonal is
+    1 outside the box.  ``diagonal`` is ``None`` when it is 1 everywhere.
+    """
+
+    site: int
+    matrix: np.ndarray | None
+    grouping: tuple[int, ...]
+    box: tuple[slice, ...]
+    diagonal: np.ndarray | None
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Apply to a contiguous ``(N, m)`` array, returning a new array."""
+        if self.matrix is None:
+            out = x.copy()
+        else:
+            d = self.matrix.shape[0]
+            left = d**self.site
+            out = _contract(self.matrix, x.reshape(left, d, x.size // (left * d)))
+        if self.diagonal is not None:
+            out.reshape(self.grouping + x.shape[1:])[self.box] *= self.diagonal
+        return out
+
+
+def _box(diag: np.ndarray) -> tuple[slice, ...]:
+    """Per axis of ``diag``, the smallest slice outside which every entry is 1."""
+    box = []
+    for axis, size in enumerate(diag.shape):
+        if size == 1:
+            box.append(slice(None))
+            continue
+        others = tuple(a for a in range(diag.ndim) if a != axis)
+        hit = np.flatnonzero(np.any(diag != 1, axis=others))
+        box.append(slice(hit[0], hit[-1] + 1))
+    return tuple(box)
+
+
+def _compile(op: StructuredOperator) -> _Kernel | None:
+    """Reduce an operator to a ``_Kernel``, or ``None`` when it has no such form.
+
+    Exact tests only: every non-identity factor is diagonal except on at most
+    one site, and the terms' matrices on that site have disjoint nonzero rows.
+    Then ``sum_t c_t A_t (x) D_t`` equals ``M = sum_t c_t A_t`` on the site
+    followed by the diagonal whose row-r slice is the ``D_t`` of the term
+    owning row r.
+    """
+    n, d = op.n_sites, op.local_dim
+    dense = {i for t in op.terms for i, f in enumerate(t.factors) if not _is_diagonal(f)}
+    if len(dense) > 1:
+        return None
+    support = [i for i in range(n) if any(not _is_identity(t.factors[i]) for t in op.terms)]
+
+    def diagonals(t: KronTerm, sites) -> np.ndarray:
+        out = np.ones(1, dtype=complex)
+        for i in sites:
+            out = np.kron(out, np.diagonal(t.factors[i]))
+        return out.reshape((d,) * len(sites))
+
+    if dense:
+        (site,) = dense
+        rows = [np.any(t.factors[site] != 0, axis=1) for t in op.terms]
+        if np.any(np.sum(rows, axis=0) > 1):
+            return None
+        matrix = sum(t.coefficient * t.factors[site] for t in op.terms)
+        diag = np.ones((d,) * len(support), dtype=complex)
+        by_row = np.moveaxis(diag, support.index(site), 0)
+        others = [i for i in support if i != site]
+        for t, mask in zip(op.terms, rows):
+            by_row[mask] = diagonals(t, others)
+    else:
+        site, matrix = 0, None
+        diag = np.zeros((d,) * len(support), dtype=complex)
+        for t in op.terms:
+            diag += t.coefficient * diagonals(t, support)
+
+    runs = [(inside, len(list(g))) for inside, g in itertools.groupby(i in support for i in range(n))]
+    grouping = tuple(d**k for _, k in runs)
+    if np.all(diag == 1):
+        return _Kernel(site, matrix, grouping, (), None)
+    diag = diag.reshape(tuple(d**k if inside else 1 for inside, k in runs) + (1,))
+    box = _box(diag)
+    return _Kernel(site, matrix, grouping, box, diag[box])
+
+
 def apply_structured(op: StructuredOperator, x: np.ndarray) -> np.ndarray:
     """Apply a structured operator to a vector without expanding it.
 
-    ``x`` may be 1-D of length ``op.dim`` or 2-D of shape ``(op.dim, m)``, in
-    which case every column is transformed (so applying to the identity
-    matrix yields the expanded operator).
+    ``x`` must have shape ``(op.dim,)`` or ``(op.dim, m)``; in the second case
+    every column is transformed (so applying to the identity matrix yields the
+    expanded operator).  Any other number of dimensions raises ``ValueError``.
+
+    On its first call an operator is compiled, where its structure allows,
+    into one contraction on a single site plus one diagonal multiply; the
+    compiled form is kept on the operator.  Other operators are applied term
+    by term.
     """
     x = np.ascontiguousarray(x, dtype=complex)
-    if x.shape[0] != op.dim:
-        raise ValueError(f"vector length {x.shape[0]} does not match operator dimension {op.dim}")
+    _check_states(x, op.dim, "operator")
+    kernel = op._kernel
+    if kernel is not None:
+        return kernel.apply(x.reshape(op.dim, x.size // op.dim)).reshape(x.shape)
     flat = x.reshape(-1)
     acc = None
     for t in op.terms:
@@ -308,54 +447,80 @@ def unitarity_residual(op: StructuredOperator, dense_limit: int = DEFAULT_DENSE_
     return unitarity_residual_dense(expand(op, dense_limit))
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """Permutation sigma of {0..size-1}, stored as the image tuple.
+    """Permutation sigma of {0..size-1}, built from its image sequence.
 
     As a matrix, ``P @ x`` gathers: ``(P x)[j] = x[sigma(j)]``.  For the
     digit-reversal permutations used here sigma is an involution, so this is
-    the same as moving entry j to position sigma(j).
+    the same as moving entry j to position sigma(j).  The image is held as a
+    read-only index array; ``image`` returns it as a tuple of ints.
     """
 
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "image", tuple(int(j) for j in self.image))
-        if sorted(self.image) != list(range(len(self.image))):
+    def __init__(self, image):
+        index = np.array(image, dtype=np.intp)
+        if (
+            index.ndim != 1
+            or np.any(index < 0)
+            or np.any(np.bincount(index, minlength=index.size) != 1)
+        ):
             raise ValueError("image is not a bijection on {0..size-1}")
+        index.setflags(write=False)
+        object.__setattr__(self, "_index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Permutation is immutable")
+
+    @functools.cached_property
+    def image(self) -> tuple[int, ...]:
+        return tuple(self._index.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.image)
+        return self._index.size
+
+    def __eq__(self, other):
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return np.array_equal(self._index, other._index)
+
+    def __hash__(self):
+        return hash(self._index.tobytes())
+
+    def __repr__(self):
+        return f"Permutation(image={self.image!r})"
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Permute vector entries (or matrix rows): equivalent to ``to_matrix() @ x``."""
         x = np.asarray(x)
         if x.shape[0] != self.size:
             raise ValueError(f"vector length {x.shape[0]} does not match permutation size {self.size}")
-        return x[np.asarray(self.image)]
+        return x[self._index]
 
     def to_matrix(self) -> np.ndarray:
-        return np.eye(self.size, dtype=complex)[np.asarray(self.image)]
+        return np.eye(self.size, dtype=complex)[self._index]
 
 
-@functools.lru_cache(maxsize=None)
+def reverse_digits(x: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Reorder the leading axis of ``x`` by the base-d digit reversal on n sites.
+
+    Equals ``digit_reversal(n, d).apply(x)`` but is a transpose of the n
+    digit axes, with no index table.
+    """
+    x = np.asarray(x)
+    axes = tuple(range(n - 1, -1, -1)) + tuple(range(n, n + x.ndim - 1))
+    return x.reshape((d,) * n + x.shape[1:]).transpose(axes).reshape(x.shape)
+
+
 def digit_reversal(n: int, d: int) -> Permutation:
     """Base-d digit-reversal permutation on n sites (big-endian digits).
 
     ``sigma(j)`` reverses the n base-d digits of j; applying it twice gives
-    back the identity.
+    back the identity.  Built on each call, as the digit reversal of
+    ``arange(d**n)``.
     """
     if n < 1 or d < 2:
         raise ValueError("digit reversal needs n >= 1 sites of dimension d >= 2")
-    image = []
-    for j in range(d**n):
-        rev, rem = 0, j
-        for _ in range(n):
-            rem, digit = divmod(rem, d)
-            rev = rev * d + digit
-        image.append(rev)
-    return Permutation(tuple(image))
+    return Permutation(reverse_digits(np.arange(d**n), n, d))
 
 
 def permute_tensor_factors(p: Permutation, x):
@@ -370,7 +535,7 @@ def permute_tensor_factors(p: Permutation, x):
         return p.apply(x)
     reverse = getattr(x, "reverse_sites", None)
     if reverse is not None:
-        if p.image != digit_reversal(x.n, x.d).image:
+        if p != digit_reversal(x.n, x.d):
             raise ValueError("permutation is not the digit reversal for this state")
         return reverse()
     raise TypeError(f"cannot permute tensor factors of {type(x).__name__}")

@@ -1,0 +1,198 @@
+"""Compiled structured kernels, the transpose digit reversal and the input
+shape contract, checked against dense expansion, ``numpy.fft`` and the
+term-by-term definitions."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kronfft import (
+    Gate,
+    StructuredOperator,
+    apply_structured,
+    basis_projector,
+    digit_reversal,
+    embed_term,
+    expand,
+    fft_apply,
+    fft_plan,
+    gate_unitary,
+    qft_plan,
+)
+
+#: Operator shapes that compile to one contraction plus one diagonal.
+COMPILED = ("single-dense", "butterfly", "diagonal")
+#: Operator shapes that keep the term-by-term path.
+FALLBACK = ("two-dense", "overlapping-rows", "swap")
+
+
+def _dense(rng, d):
+    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / 2
+
+
+def _diagonal(rng, d):
+    """Random phases, each exactly 1 with probability 1/2."""
+    phases = np.exp(2j * np.pi * rng.random(d))
+    return np.diag(np.where(rng.random(d) < 0.5, 1.0, phases))
+
+
+def _coefficient(rng):
+    return complex(rng.standard_normal(), rng.standard_normal())
+
+
+def _diagonal_sites(rng, d, sites):
+    return {i: _diagonal(rng, d) for i in sites if rng.random() < 0.7}
+
+
+def random_operator(shape: str, n: int, d: int, seed: int) -> StructuredOperator:
+    rng = np.random.default_rng(seed)
+    site = int(rng.integers(n))
+    rest = [i for i in range(n) if i != site]
+    if shape == "single-dense":
+        sites = _diagonal_sites(rng, d, rest)
+        sites[site] = _dense(rng, d)
+        terms = (embed_term(n, d, sites, _coefficient(rng)),)
+    elif shape == "butterfly":
+        # Projected rows on one site, so the terms' rows there are disjoint.
+        terms = []
+        for level in range(d):
+            sites = _diagonal_sites(rng, d, rest)
+            sites[site] = basis_projector(level, d) @ _dense(rng, d)
+            terms.append(embed_term(n, d, sites, _coefficient(rng)))
+    elif shape == "diagonal":
+        terms = [
+            embed_term(n, d, _diagonal_sites(rng, d, range(n)), _coefficient(rng))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+    elif shape == "two-dense":
+        other = (site + 1) % n
+        terms = (embed_term(n, d, {site: _dense(rng, d), other: _dense(rng, d)}),)
+    elif shape == "overlapping-rows":
+        terms = [
+            embed_term(n, d, {site: _dense(rng, d), **_diagonal_sites(rng, d, rest)})
+            for _ in range(2)
+        ]
+    elif shape == "swap":
+        return gate_unitary(Gate("swap", target=site, control=(site + 1) % n), n, d)
+    else:
+        raise ValueError(shape)
+    return StructuredOperator(n, d, tuple(terms))
+
+
+class TestCompiledKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(COMPILED + FALLBACK),
+        n=st.integers(1, 4),
+        d=st.sampled_from([2, 3]),
+        columns=st.integers(1, 3),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_dense_expansion(self, shape, n, d, columns, seed):
+        if n == 1 and shape in ("two-dense", "swap"):
+            n = 2
+        op = random_operator(shape, n, d, seed)
+        assert (op._kernel is None) == (shape in FALLBACK)
+        rng = np.random.default_rng(seed + 1)
+        dense = expand(op)
+        x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        batch = rng.standard_normal((op.dim, columns)) + 1j * rng.standard_normal((op.dim, columns))
+        assert np.max(np.abs(apply_structured(op, x) - dense @ x)) < 1e-12
+        assert np.max(np.abs(apply_structured(op, batch) - dense @ batch)) < 1e-12
+
+    def test_plan_factors_compile(self):
+        for plan in (fft_plan(4, 3), qft_plan(4, 2), qft_plan(3, 3, "control-first")):
+            assert all(f._kernel is not None for f in plan.factors)
+
+    def test_diagonal_storage(self):
+        # A controlled phase keeps at most d**2 numbers, a butterfly stage k at
+        # most its d**(k+1) twiddles, a Fourier gate none.
+        n, d = 5, 3
+        plan = qft_plan(n, d)
+        fourier, cphase = plan.factors[0]._kernel, plan.factors[1]._kernel
+        assert fourier.diagonal is None and cphase.matrix is None
+        assert cphase.diagonal.size <= d**2
+        for stage, f in zip(range(n - 1, -1, -1), fft_plan(n, d).factors):
+            kernel = f._kernel
+            assert kernel.diagonal is None or kernel.diagonal.size <= d ** (stage + 1)
+
+    def test_no_terms_gives_zero(self):
+        op = StructuredOperator(2, 2, ())
+        np.testing.assert_array_equal(apply_structured(op, np.ones(4)), np.zeros(4))
+
+    def test_input_is_not_modified(self):
+        op = random_operator("diagonal", 3, 2, seed=5)
+        x = np.arange(8, dtype=complex)
+        apply_structured(op, x)
+        np.testing.assert_array_equal(x, np.arange(8))
+
+
+def _replay(plan, x, inverse):
+    """``fft_apply`` as its public parts: each factor, then the reversal table."""
+    work = np.conj(x) if inverse else x
+    for f in plan.factors:
+        work = apply_structured(f, work)
+    work = plan.reversal.apply(work)
+    return np.conj(work) if inverse else work
+
+
+class TestFftApply:
+    @pytest.mark.parametrize("kind", ["fft", "qft"])
+    @pytest.mark.parametrize("n,d", [(20, 2), (12, 3), (8, 5)])
+    def test_matches_numpy_fft_at_size(self, kind, n, d):
+        plan = (fft_plan if kind == "fft" else qft_plan)(n, d)
+        rng = np.random.default_rng(n * d)
+        x = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+        for inverse, oracle in ((False, np.fft.fft), (True, np.fft.ifft)):
+            y = fft_apply(plan, x, inverse=inverse)
+            assert np.max(np.abs(y - oracle(x, norm="ortho"))) < 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["fft", "qft"]),
+        d=st.sampled_from([2, 3, 5]),
+        n=st.integers(1, 6),
+        columns=st.integers(0, 3),
+        inverse=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_numpy_fft_and_replay(self, kind, d, n, columns, inverse, seed):
+        plan = (fft_plan if kind == "fft" else qft_plan)(n, d)
+        shape = (d**n, columns) if columns else (d**n,)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        y = fft_apply(plan, x, inverse=inverse)
+        oracle = (np.fft.ifft if inverse else np.fft.fft)(x, norm="ortho", axis=0)
+        assert np.max(np.abs(y - oracle)) < 1e-10
+        replay = _replay(plan, x, inverse)
+        assert y.dtype == replay.dtype and y.shape == replay.shape
+        assert y.tobytes() == replay.tobytes()
+
+
+class TestInputShapes:
+    @pytest.mark.parametrize("shape", [(), (8, 2, 2), (8, 1, 1)])
+    def test_apply_structured_rejects(self, shape):
+        op = StructuredOperator(3, 2, (embed_term(3, 2, {}),))
+        with pytest.raises(ValueError):
+            apply_structured(op, np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(), (8, 2, 2), (8, 1, 1)])
+    def test_fft_apply_rejects(self, shape):
+        with pytest.raises(ValueError):
+            fft_apply(fft_plan(3, 2), np.ones(shape))
+
+
+def _reverse_digit_by_digit(j, n, d):
+    rev = 0
+    for _ in range(n):
+        j, digit = divmod(j, d)
+        rev = rev * d + digit
+    return rev
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_digit_reversal_matches_definition(n, d):
+    image = digit_reversal(n, d).image
+    assert isinstance(image, tuple)
+    assert image == tuple(_reverse_digit_by_digit(j, n, d) for j in range(d**n))

@@ -307,6 +307,19 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
 
+    @pytest.mark.parametrize("image", [(0, 2), (-1, 0), ((0, 1), (1, 0))])
+    def test_rejects_out_of_range_and_nested(self, image):
+        with pytest.raises(ValueError):
+            Permutation(image)
+
+    def test_value_semantics(self):
+        p = Permutation(np.array([1, 2, 0]))
+        assert p.image == (1, 2, 0) and isinstance(p.image[0], int)
+        assert p == Permutation((1, 2, 0)) and p != Permutation((0, 1, 2))
+        assert hash(p) == hash(Permutation([1, 2, 0]))
+        with pytest.raises(AttributeError):
+            p.image = (0, 1, 2)
+
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             digit_reversal(2, 2).apply(np.zeros(5))
