@@ -222,13 +222,21 @@ def lower_to_circuit(
 def simulate_dense(
     c: Circuit, x: np.ndarray, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> np.ndarray:
-    """Apply the circuit's gates in order to a dense state vector."""
+    """Apply the circuit's gates in order to a dense state vector.
+
+    A swap exchanges two digit axes of the state (a transpose, no
+    arithmetic); every other gate goes through ``gate_unitary``.
+    """
     _check_dense_limit(c.dim, dense_limit)
     x = np.asarray(x, dtype=complex)
     if x.shape[0] != c.dim:
         raise ValueError(f"vector length {x.shape[0]} does not match circuit dimension {c.dim}")
     for g in c.gates:
-        x = apply_structured(gate_unitary(g, c.n, c.d), x)
+        if g.kind == SWAP:
+            digits = x.reshape((c.d,) * c.n + x.shape[1:])
+            x = digits.swapaxes(g.target, g.control).reshape(x.shape)
+        else:
+            x = apply_structured(gate_unitary(g, c.n, c.d), x)
     return x
 
 

@@ -1,17 +1,21 @@
 """Sum-of-rank-1 (canonical polyadic) state representation.
 
 A state on n sites of dimension d is a weighted sum of rank-1 terms, each a
-Kronecker product of per-site vectors.  Site vectors are kept unit-norm with
-magnitudes folded into the term weight; a projector that annihilates a site
-vector zeroes the whole term (the vector is replaced by a basis placeholder
-so the representation stays well formed for the no-prune experiments).
+Kronecker product of per-site vectors.  The terms are stored as arrays: a
+weight vector of shape ``(T,)`` and a site-vector array of shape
+``(T, n, d)``.  Site vectors are kept unit-norm with magnitudes folded into
+the term weight; a projector that annihilates a site vector zeroes the whole
+term (the vector is replaced by a basis placeholder so the representation
+stays well formed for the no-prune experiments).
 
-Structured operators apply term by term through small site-local products,
-so the cost per term is independent of the global dimension; the price is
-that the number of terms can grow with every controlled factor.
+Structured operators apply to all terms at once, one batched site-local
+product per operator term and non-identity site, so the cost per term is
+independent of the global dimension; the price is that the number of terms
+can grow with every controlled factor.
 """
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -22,7 +26,7 @@ from .tensor import (
     DEFAULT_DENSE_LIMIT,
     StructuredOperator,
     _check_dense_limit,
-    kron_all,
+    _is_identity,
 )
 from .spectral import dft_matrix
 from .factorize import (
@@ -63,27 +67,64 @@ class RankOneTerm:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "site_vectors", tuple(normalized))
 
+    @classmethod
+    def _view(cls, weight: complex, vectors: np.ndarray) -> "RankOneTerm":
+        """A term over the rows of a read-only, already normalized ``(n, d)`` array."""
+        term = object.__new__(cls)
+        object.__setattr__(term, "weight", weight)
+        object.__setattr__(term, "site_vectors", tuple(vectors))
+        return term
 
-@dataclass(frozen=True, eq=False)
+
 class CPState:
-    """Weighted sum of rank-1 terms on n sites of local dimension d."""
+    """Weighted sum of rank-1 terms on n sites of local dimension d.
 
-    n: int
-    d: int
-    terms: tuple[RankOneTerm, ...]
+    ``weights`` (shape ``(T,)``) and ``vectors`` (shape ``(T, n, d)``) are
+    read-only arrays; ``vectors[t, i]`` is the unit-norm vector of term t on
+    site i.  ``terms`` gives the same terms as :class:`RankOneTerm` objects
+    whose site vectors are views of ``vectors``, built on first access.
+    """
 
-    def __post_init__(self):
-        if self.n < 1 or self.d < 2:
+    def __init__(self, n: int, d: int, terms):
+        if n < 1 or d < 2:
             raise ValueError("states need n >= 1 sites of dimension d >= 2")
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+        terms = tuple(terms)
+        if not terms:
             raise ValueError("states carry at least one term")
-        for t in self.terms:
-            if len(t.site_vectors) != self.n:
-                raise ValueError(f"term has {len(t.site_vectors)} sites, expected {self.n}")
+        for t in terms:
+            if len(t.site_vectors) != n:
+                raise ValueError(f"term has {len(t.site_vectors)} sites, expected {n}")
             for v in t.site_vectors:
-                if v.shape != (self.d,):
-                    raise ValueError(f"site vector length {v.shape[0]} != {self.d}")
+                if v.shape != (d,):
+                    raise ValueError(f"site vector length {v.shape[0]} != {d}")
+        weights = np.array([t.weight for t in terms], dtype=complex)
+        vectors = np.array([t.site_vectors for t in terms], dtype=complex)
+        self._set(n, d, weights, vectors)
+        self.__dict__["terms"] = terms  # fills the cached property below
+
+    @classmethod
+    def _from_arrays(cls, n: int, d: int, weights: np.ndarray, vectors: np.ndarray) -> "CPState":
+        """A state over arrays already in the stored form; they are made read-only."""
+        s = object.__new__(cls)
+        s._set(n, d, weights, vectors)
+        return s
+
+    def _set(self, n, d, weights, vectors) -> None:
+        weights.setflags(write=False)
+        vectors.setflags(write=False)
+        self.__dict__.update(n=n, d=d, weights=weights, vectors=vectors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CPState is immutable")
+
+    def __repr__(self):
+        return f"CPState(n={self.n}, d={self.d}, term_count={self.term_count})"
+
+    @functools.cached_property
+    def terms(self) -> tuple[RankOneTerm, ...]:
+        return tuple(
+            RankOneTerm._view(w, v) for w, v in zip(self.weights.tolist(), self.vectors)
+        )
 
     @property
     def dim(self) -> int:
@@ -91,14 +132,11 @@ class CPState:
 
     @property
     def term_count(self) -> int:
-        return len(self.terms)
+        return self.weights.shape[0]
 
     def reverse_sites(self) -> "CPState":
         """Site order reversed per term: the digit-reversal permutation."""
-        terms = tuple(
-            RankOneTerm(t.weight, tuple(reversed(t.site_vectors))) for t in self.terms
-        )
-        return CPState(self.n, self.d, terms)
+        return CPState._from_arrays(self.n, self.d, self.weights, self.vectors[:, ::-1])
 
 
 def cp_basis_state(digits, d: int = 2) -> CPState:
@@ -136,38 +174,81 @@ def random_rank_one(
     return CPState(n, d, (RankOneTerm(1.0, tuple(vectors)),))
 
 
-def cp_to_dense(s: CPState, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    """Materialize the state as a dense vector of length d**n."""
-    _check_dense_limit(s.dim, dense_limit)
-    out = np.zeros(s.dim, dtype=complex)
-    for t in s.terms:
-        if t.weight != 0:
-            out += t.weight * kron_all(t.site_vectors)
+def _normalize(weights: np.ndarray, vectors: np.ndarray, sites=True):
+    """Fold site-vector norms into the weights, as ``RankOneTerm`` does.
+
+    ``weights`` has shape ``S`` and ``vectors`` shape ``S + (n, d)``; only
+    the sites where the mask ``sites`` (broadcast to ``S + (n,)``) is true
+    are rescaled.  A zero site vector zeroes its weight and becomes the
+    first basis vector.  Returns new arrays.
+    """
+    norms = np.where(sites, np.linalg.norm(vectors, axis=-1), 1.0)
+    zero = norms == 0
+    vectors = vectors / np.where(zero, 1.0, norms)[..., None]
+    vectors[zero] = np.eye(1, vectors.shape[-1])
+    return weights * np.prod(norms, axis=-1), vectors
+
+
+def _kron_rows(vectors: np.ndarray) -> np.ndarray:
+    """Per term, the Kronecker product of its site vectors: ``(T, k, d) -> (T, d**k)``."""
+    terms, sites, d = vectors.shape
+    out = np.ones((terms, 1), dtype=complex)
+    for i in range(sites):
+        out = (out[:, :, None] * vectors[:, i, None, :]).reshape(terms, d ** (i + 1))
     return out
 
 
-def apply_op_cp(op: StructuredOperator, s: CPState, prune: float = 1e-14) -> CPState:
-    """Apply a structured operator term by term.
+def cp_to_dense(s: CPState, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
+    """Materialize the state as a dense vector of length d**n.
 
-    Every (operator term, state term) pair yields one candidate output term
-    via site-wise d x d matrix-vector products.  Terms whose weight magnitude
-    falls below ``prune`` times the largest weight are dropped; ``prune = 0``
-    keeps everything, including exact zeros.
+    The leading and trailing halves of the sites are expanded per term, and
+    one matrix product sums their outer products over the nonzero-weight
+    terms, so the work arrays hold ``T * d**(n/2)`` entries, not ``T * d**n``.
+    """
+    _check_dense_limit(s.dim, dense_limit)
+    live = s.weights != 0
+    half = s.n // 2
+    left = _kron_rows(s.vectors[live, :half]) * s.weights[live, None]
+    right = _kron_rows(s.vectors[live, half:])
+    return (left.T @ right).reshape(s.dim)
+
+
+def apply_op_cp(op: StructuredOperator, s: CPState, prune: float = 1e-14) -> CPState:
+    """Apply a structured operator to every state term at once.
+
+    Every (state term, operator term) pair yields one candidate output term,
+    in state-term-major order: the state's site vectors with each
+    non-identity factor of the operator term applied on its site, as one
+    batched product over all state terms.  Terms whose weight magnitude falls
+    below ``prune`` times the largest weight are dropped (the first candidate
+    stays if none is left); ``prune = 0`` keeps everything, including exact
+    zeros.
     """
     if (op.n_sites, op.local_dim) != (s.n, s.d):
         raise ValueError("operator and state site structures do not match")
-    candidates = []
-    for st in s.terms:
-        for ot in op.terms:
-            vectors = tuple(f @ v for f, v in zip(ot.factors, st.site_vectors))
-            candidates.append(RankOneTerm(st.weight * ot.coefficient, vectors))
+    if not op.terms:
+        raise ValueError("operator has no terms")
+    k = len(op.terms)
+    vectors = np.repeat(s.vectors[:, None], k, axis=1)
+    touched = np.zeros((k, s.n), dtype=bool)
+    for j, term in enumerate(op.terms):
+        for i, f in enumerate(term.factors):
+            if not _is_identity(f):
+                touched[j, i] = True
+                vectors[:, j, i] = s.vectors[:, i] @ f.T
+    coefficients = np.array([t.coefficient for t in op.terms])
+    weights, vectors = _normalize(s.weights[:, None] * coefficients, vectors, touched)
+    weights = weights.reshape(-1)
+    vectors = vectors.reshape(-1, s.n, s.d)
     if prune > 0:
-        wmax = max(abs(t.weight) for t in candidates)
-        kept = [t for t in candidates if abs(t.weight) >= prune * wmax] if wmax > 0 else []
-        if not kept:
-            kept = [candidates[0]]
-        candidates = kept
-    return CPState(s.n, s.d, tuple(candidates))
+        magnitudes = np.abs(weights)
+        wmax = magnitudes.max()
+        keep = magnitudes >= prune * wmax if wmax > 0 else np.zeros(weights.shape, dtype=bool)
+        if not keep.any():
+            keep[0] = True
+        if not keep.all():
+            weights, vectors = weights[keep], vectors[keep]
+    return CPState._from_arrays(s.n, s.d, weights, vectors)
 
 
 def diagonal_cascade_cp(
@@ -212,22 +293,21 @@ def bipartition_rank(
     return int(np.count_nonzero(svals > rel_tol * svals[0]))
 
 
-def _merge_parallel(terms: list[RankOneTerm], tol: float) -> list[RankOneTerm]:
-    kept: list[RankOneTerm] = []
-    weights: list[complex] = []
-    for t in terms:
-        for i, base in enumerate(kept):
-            overlaps = [
-                np.vdot(bv, tv) for bv, tv in zip(base.site_vectors, t.site_vectors)
-            ]
-            if all(abs(abs(o) - 1.0) <= tol for o in overlaps):
-                phase = np.prod(overlaps)
-                weights[i] += t.weight * phase
-                break
-        else:
-            kept.append(t)
-            weights.append(t.weight)
-    return [RankOneTerm(w, t.site_vectors) for w, t in zip(weights, kept)]
+def _merge_parallel(weights: np.ndarray, vectors: np.ndarray, tol: float):
+    """Fold each term into the first earlier kept term whose site vectors are
+    all parallel to its own, up to ``tol``; returns the kept weights and vectors."""
+    kept: list[int] = []
+    merged: list[complex] = []
+    for t in range(weights.shape[0]):
+        if kept:
+            overlaps = np.einsum("knd,nd->kn", vectors[kept].conj(), vectors[t])
+            hit = np.flatnonzero(np.all(np.abs(np.abs(overlaps) - 1.0) <= tol, axis=1))
+            if hit.size:
+                merged[hit[0]] += weights[t] * np.prod(overlaps[hit[0]])
+                continue
+        kept.append(t)
+        merged.append(weights[t])
+    return np.array(merged, dtype=complex), vectors[kept]
 
 
 def compress(s: CPState, tol: float = 1e-12, svd: bool = True) -> CPState:
@@ -238,28 +318,27 @@ def compress(s: CPState, tol: float = 1e-12, svd: bool = True) -> CPState:
     state through its singular value decomposition, which is the minimal
     representation there; no general rank minimization is attempted.
     """
-    terms = list(s.terms)
-    wmax = max(abs(t.weight) for t in terms)
-    if wmax > 0:
-        terms = [t for t in terms if abs(t.weight) > tol * wmax]
-    else:
-        terms = [terms[0]]
+    magnitudes = np.abs(s.weights)
+    wmax = magnitudes.max()
+    keep = magnitudes > tol * wmax if wmax > 0 else np.arange(s.term_count) == 0
+    weights, vectors = s.weights[keep], s.vectors[keep]
     if svd and s.n == 2:
-        matrix = cp_to_dense(CPState(s.n, s.d, tuple(terms))).reshape(s.d, s.d)
-        u, svals, vh = np.linalg.svd(matrix)
-        smax = svals[0] if svals.size else 0.0
-        out = []
-        for i, sv in enumerate(svals):
-            if sv > tol * smax and sv > 0:
-                out.append(RankOneTerm(sv, (u[:, i], vh[i, :])))
-        if not out:
-            out = [RankOneTerm(0.0, (u[:, 0], vh[0, :]))]
-        return CPState(s.n, s.d, tuple(out))
-    merged = _merge_parallel(terms, tol)
-    wmax = max(abs(t.weight) for t in merged)
+        matrix = cp_to_dense(CPState._from_arrays(s.n, s.d, weights, vectors))
+        u, svals, vh = np.linalg.svd(matrix.reshape(s.d, s.d))
+        rank = np.flatnonzero((svals > tol * svals[0]) & (svals > 0))
+        if rank.size:
+            weights = svals[rank].astype(complex)
+        else:
+            rank, weights = [0], np.zeros(1, dtype=complex)
+        weights, vectors = _normalize(weights, np.stack([u[:, rank].T, vh[rank]], axis=1))
+        return CPState._from_arrays(s.n, s.d, weights, vectors)
+    weights, vectors = _merge_parallel(weights, vectors, tol)
+    magnitudes = np.abs(weights)
+    wmax = magnitudes.max()
     if wmax > 0:
-        merged = [t for t in merged if abs(t.weight) > tol * wmax]
-    return CPState(s.n, s.d, tuple(merged if merged else terms[:1]))
+        keep = magnitudes > tol * wmax
+        weights, vectors = weights[keep], vectors[keep]
+    return CPState._from_arrays(s.n, s.d, weights, vectors)
 
 
 @dataclass(frozen=True)

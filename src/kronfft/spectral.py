@@ -72,7 +72,7 @@ def r_gate_power(level: int, d: int = 2, exponent: int = 1) -> np.ndarray:
     return _frozen_complex(np.diag(np.exp(-2j * np.pi * np.array(fractions))))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def fourier_gate(d: int) -> np.ndarray:
     """The d x d DFT matrix as a shared read-only single-site gate."""
     return _frozen_complex(dft_matrix(d))

@@ -44,7 +44,7 @@ def _frozen_complex(a) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def identity(dim: int) -> np.ndarray:
     """Read-only complex identity matrix, shared between callers."""
     return _frozen_complex(np.eye(dim))
@@ -84,7 +84,7 @@ def direct_sum(a, b) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def basis_projector(index: int, d: int) -> np.ndarray:
     """Rank-1 projector onto the ``index``-th basis state of a d-level site.
 
@@ -116,13 +116,20 @@ class KronTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficient", complex(self.coefficient))
-        frozen = []
-        for f in self.factors:
+        # Each distinct factor object is checked and frozen once; a shared
+        # factor such as identity(d) repeats at every site it fills.
+        factors = tuple(self.factors)
+        ids = list(map(id, factors))
+        frozen = {}
+        for key, f in dict(zip(ids, factors)).items():
             a = _frozen_complex(f)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ValueError("Kronecker factors must be square matrices")
-            frozen.append(a)
-        object.__setattr__(self, "factors", tuple(frozen))
+            if a is not f:
+                frozen[key] = a
+        if frozen:
+            factors = tuple(map(frozen.get, ids, factors))
+        object.__setattr__(self, "factors", factors)
 
     @property
     def dim(self) -> int:
@@ -151,17 +158,19 @@ class StructuredOperator:
         if self.local_dim < 1:
             raise ValueError("local dimension must be positive")
         object.__setattr__(self, "terms", tuple(self.terms))
+        distinct = {}  # each distinct factor object, by id, is checked once
         for t in self.terms:
             if len(t.factors) != self.n_sites:
                 raise ValueError(
                     f"term has {len(t.factors)} factors, expected {self.n_sites}"
                 )
-            for f in t.factors:
-                if f.shape != (self.local_dim, self.local_dim):
-                    raise ValueError(
-                        f"factor shape {f.shape} does not match local dimension "
-                        f"{self.local_dim}"
-                    )
+            distinct.update(zip(map(id, t.factors), t.factors))
+        for f in distinct.values():
+            if f.shape != (self.local_dim, self.local_dim):
+                raise ValueError(
+                    f"factor shape {f.shape} does not match local dimension "
+                    f"{self.local_dim}"
+                )
 
     @property
     def dim(self) -> int:
@@ -178,9 +187,11 @@ def embed_term(
     n: int, d: int, sites: dict[int, np.ndarray], coefficient: complex = 1.0
 ) -> KronTerm:
     """Kronecker term that is identity everywhere except the given 0-based sites."""
-    eye = identity(d)
-    factors = tuple(sites.get(i, eye) for i in range(n))
-    return KronTerm(coefficient, factors)
+    factors = [identity(d)] * n
+    for i, m in sites.items():
+        if 0 <= i < n:
+            factors[i] = m
+    return KronTerm(coefficient, tuple(factors))
 
 
 def single_site_operator(

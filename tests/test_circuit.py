@@ -118,6 +118,20 @@ class TestGateUnitary:
         got = apply_structured(op, np.kron(a, b))
         np.testing.assert_allclose(got, np.kron(b, a), atol=1e-14)
 
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (3, 5)])
+    def test_simulated_swap_equals_its_operator(self, n, d):
+        # simulate_dense transposes digit axes; gate_unitary builds the operator.
+        rng = np.random.default_rng(n * d)
+        x = rng.standard_normal((d**n, 2)) + 1j * rng.standard_normal((d**n, 2))
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    g = Gate("swap", target=a, control=b)
+                    want = apply_structured(gate_unitary(g, n, d), x)
+                    c = Circuit(n, d, (g,))
+                    np.testing.assert_array_equal(simulate_dense(c, x), want)
+                    np.testing.assert_array_equal(simulate_dense(c, x[:, 0]), want[:, 0])
+
     def test_distant_controlled_phase_and_its_twin(self):
         a = gate_unitary(Gate("cphase", target=2, control=0, level=3), 4, 2)
         b = gate_unitary(Gate("cphase", target=0, control=2, level=3), 4, 2)

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronfft import (
     CONTROL_FIRST,
+    TARGET_FIRST,
     CPState,
     KronTerm,
     RankOneTerm,
@@ -19,6 +22,7 @@ from kronfft import (
     diagonal_decomposition,
     embed_term,
     expand,
+    identity,
     kron_all,
     qft_rank_experiment,
     r_gate,
@@ -348,3 +352,183 @@ class TestGenericInputs:
     def test_unit_norm(self):
         s = random_rank_one(4, 3, seed=3)
         assert abs(np.linalg.norm(cp_to_dense(s)) - 1.0) < 1e-12
+
+
+# -- array storage ---------------------------------------------------------------
+
+#: Largest site count per local dimension for the dense comparisons below.
+MAX_SITES = {2: 6, 3: 4, 5: 3}
+#: Site factor kinds drawn for random operators.
+FACTOR_KINDS = ("identity", "dense", "diagonal", "projector")
+
+
+def _site_factor(rng, kind, d):
+    if kind == "identity":
+        return identity(d)
+    if kind == "projector":
+        return basis_projector(int(rng.integers(d)), d)
+    if kind == "diagonal":
+        return np.diag(np.exp(2j * np.pi * rng.random(d)))
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return m / np.linalg.norm(m, 2)
+
+
+def _site_vector(rng, d):
+    """A random vector, or with some probability an exact basis or zero vector."""
+    u = rng.random()
+    if u < 0.15:
+        return np.zeros(d)
+    if u < 0.4:
+        return np.eye(d)[int(rng.integers(d))]
+    return rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+
+def _random_case(seed, d):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, MAX_SITES[d] + 1))
+    op_terms = tuple(
+        KronTerm(
+            complex(rng.standard_normal(), rng.standard_normal()),
+            tuple(_site_factor(rng, rng.choice(FACTOR_KINDS), d) for _ in range(n)),
+        )
+        for _ in range(int(rng.integers(1, 4)))
+    )
+    state_terms = tuple(
+        RankOneTerm(
+            complex(rng.standard_normal(), rng.standard_normal()),
+            tuple(_site_vector(rng, d) for _ in range(n)),
+        )
+        for _ in range(int(rng.integers(1, 5)))
+    )
+    return StructuredOperator(n, d, op_terms), CPState(n, d, state_terms)
+
+
+class TestArrayStorage:
+    def test_arrays_are_read_only(self):
+        s = apply_op_cp(diagonal_decomposition(2, 2).factors[0], random_rank_one(3, 2, seed=1))
+        assert s.weights.shape == (2,) and s.vectors.shape == (2, 3, 2)
+        for a in (s.weights, s.vectors, s.reverse_sites().vectors):
+            assert not a.flags.writeable
+        with pytest.raises(AttributeError):
+            s.n = 4
+
+    def test_terms_are_views_of_the_arrays(self):
+        s = apply_op_cp(diagonal_decomposition(2, 3).factors[1], random_rank_one(3, 3, seed=2))
+        for t, term in enumerate(s.terms):
+            assert term.weight == s.weights[t]
+            for i, v in enumerate(term.site_vectors):
+                assert np.shares_memory(v, s.vectors)
+                np.testing.assert_array_equal(v, s.vectors[t, i])
+
+    def test_reverse_sites_is_a_site_slice(self):
+        s = random_state(np.random.default_rng(3), 3, 3, 2)
+        r = s.reverse_sites()
+        np.testing.assert_array_equal(r.vectors, s.vectors[:, ::-1])
+        np.testing.assert_array_equal(r.weights, s.weights)
+
+    def test_all_candidates_pruned_keeps_the_first(self):
+        # E_0 on a site holding e_1 annihilates every candidate.
+        op = StructuredOperator(2, 2, (embed_term(2, 2, {0: basis_projector(0, 2)}),))
+        out = apply_op_cp(op, cp_basis_state([1, 0], 2))
+        assert out.term_count == 1 and out.weights[0] == 0
+        np.testing.assert_array_equal(out.vectors[0, 0], [1, 0])
+        assert np.max(np.abs(cp_to_dense(out))) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 3, 5]),
+        prune=st.sampled_from([0.0, 1e-14]),
+    )
+    def test_apply_matches_dense(self, seed, d, prune):
+        op, s = _random_case(seed, d)
+        out = apply_op_cp(op, s, prune=prune)
+        want = expand(op) @ cp_to_dense(s)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(cp_to_dense(out) - want)) < 1e-12 * scale
+        norms = np.linalg.norm(out.vectors, axis=-1)
+        assert np.max(np.abs(norms - 1)) < 1e-14
+        if prune == 0:
+            # One candidate per (state term, operator term), state-term-major.
+            k = len(op.terms)
+            assert out.term_count == s.term_count * k
+            for index, term in enumerate(out.terms):
+                t, j = divmod(index, k)
+                ot = op.terms[j]
+                expected = s.terms[t].weight * ot.coefficient * kron_all(
+                    [f @ v for f, v in zip(ot.factors, s.terms[t].site_vectors)]
+                )
+                got = term.weight * kron_all(term.site_vectors)
+                assert np.max(np.abs(got - expected)) < 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 5]))
+    def test_terms_round_trip(self, seed, d):
+        op, s = _random_case(seed, d)
+        out = apply_op_cp(op, s, prune=0.0)
+        rebuilt = CPState(out.n, out.d, out.terms)
+        np.testing.assert_array_equal(rebuilt.weights, out.weights)
+        np.testing.assert_array_equal(rebuilt.vectors, out.vectors)
+        np.testing.assert_array_equal(cp_to_dense(rebuilt), cp_to_dense(out))
+        renormalized = CPState(
+            out.n, out.d, [RankOneTerm(t.weight, t.site_vectors) for t in out.terms]
+        )
+        assert np.max(np.abs(cp_to_dense(renormalized) - cp_to_dense(out))) < 1e-12
+        assert np.max(np.abs(cp_to_dense(out) - dense_by_digit_indexing(out))) < 1e-12
+
+
+# -- term-count trajectories ---------------------------------------------------------
+
+
+def trajectory_state(kind, n, d, seed):
+    """Random product state, basis state, or a random state with some sites on basis vectors."""
+    if kind == "random":
+        return random_rank_one(n, d, seed=seed)
+    rng = np.random.default_rng(seed)
+    digits = [int(x) for x in rng.integers(0, d, n)]
+    if kind == "basis":
+        return cp_basis_state(digits, d)
+    vectors = list(random_rank_one(n, d, seed=seed).terms[0].site_vectors)
+    for i, digit in enumerate(digits):
+        if rng.random() < 0.4:
+            vectors[i] = np.eye(d)[digit]
+    return CPState(n, d, (RankOneTerm(1.0, tuple(vectors)),))
+
+
+def _counts(text):
+    """``"1 2*3"`` -> ``[1, 2, 2, 2]``."""
+    out = []
+    for part in text.split():
+        value, _, repeat = part.partition("*")
+        out += [int(value)] * int(repeat or 1)
+    return out
+
+
+#: (state kind, n, d, seed, orientation, prune, term count after every step),
+#: recorded with the object-per-term engine this array engine replaced.
+TRAJECTORIES = [
+    ("random", 8, 2, 0, TARGET_FIRST, 1e-14, "1 2 4 8 16 32 64 128*30"),
+    ("random", 6, 3, 1, TARGET_FIRST, 1e-14, "1 3 9 27 81 243*17"),
+    ("random", 5, 2, 2, TARGET_FIRST, 0.0, "1 2 4 8 16*2 32 64 128*2 256 512*2 1024*3"),
+    ("random", 4, 3, 0, TARGET_FIRST, 0.0, "1 3 9 27*2 81 243*2 729*3"),
+    ("random", 5, 2, 0, CONTROL_FIRST, 1e-14, "1 2*5 4*4 8*3 16*3"),
+    ("random", 3, 3, 2, CONTROL_FIRST, 0.0, "1 3 9*2 27*3"),
+    ("basis", 8, 2, 0, TARGET_FIRST, 1e-14, "1*37"),
+    ("basis", 6, 2, 1, CONTROL_FIRST, 1e-14, "1 2*6 4*5 8*4 16*3 32*3"),
+    ("basis", 5, 3, 0, TARGET_FIRST, 1e-14, "1*16"),
+    ("basis", 3, 3, 1, CONTROL_FIRST, 1e-14, "1 3*3 9*3"),
+    ("mixed", 8, 2, 3, TARGET_FIRST, 1e-14, "1 2*3 4*2 8 16*30"),
+    ("mixed", 7, 2, 7, TARGET_FIRST, 1e-14, "1*2 2 4 8*2 16*23"),
+    ("mixed", 6, 3, 4, TARGET_FIRST, 1e-14, "1 3*2 9*2 27*17"),
+    ("mixed", 5, 2, 5, CONTROL_FIRST, 1e-14, "1 2*5 4*4 8*3 16*3"),
+    ("mixed", 4, 3, 6, TARGET_FIRST, 0.0, "1 3 9 27*2 81 243*2 729*3"),
+]
+
+
+@pytest.mark.parametrize("kind,n,d,seed,orientation,prune,counts", TRAJECTORIES)
+def test_recorded_trajectories(kind, n, d, seed, orientation, prune, counts):
+    report = qft_rank_experiment(
+        n, d, trajectory_state(kind, n, d, seed), prune=prune, orientation=orientation
+    )
+    assert [s.term_count for s in report.steps] == _counts(counts)
+    assert report.residual < 1e-12

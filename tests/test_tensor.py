@@ -165,6 +165,22 @@ class TestStructuredOperator:
         with pytest.raises(ValueError):
             term.factors[0][0, 0] = 5.0
 
+    def test_embed_term_fills_identity_and_ignores_outside_sites(self):
+        x = np.array([[0, 1], [1, 0]])
+        term = embed_term(3, 2, {1: x, 3: x, -1: x})
+        assert term.factors[0] is identity(2) and term.factors[2] is identity(2)
+        np.testing.assert_array_equal(term.factors[1], x)
+
+    def test_repeated_factor_is_frozen_once(self):
+        x = np.array([[0, 1], [1, 0]])
+        term = KronTerm(1.0, (x, identity(2), x))
+        assert term.factors[0] is term.factors[2] and term.factors[0] is not x
+        assert not term.factors[0].flags.writeable
+        with pytest.raises(ValueError):
+            KronTerm(1.0, (identity(2), np.ones(2)))
+        with pytest.raises(ValueError):
+            StructuredOperator(2, 3, (KronTerm(1.0, (identity(3), identity(2))),))
+
 
 class TestApplyStructured:
     def test_identity_operator(self):
