@@ -44,8 +44,11 @@ from .factorize import (
     ORIENTATIONS,
     QFT,
     TARGET_FIRST,
+    ButterflyStep,
+    CPhaseStep,
     DiagonalDecomposition,
     FactorizationPlan,
+    FourierStep,
     PlanFormatError,
     PlanVerification,
     decomposition_product,

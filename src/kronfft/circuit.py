@@ -21,9 +21,9 @@ from .tensor import (
     basis_projector,
     embed_term,
 )
-from .spectral import dft_matrix, fourier_gate, r_gate_power
+from .spectral import dft_matrix, r_gate_power
 from . import factorize
-from .factorize import FactorizationPlan, _cphase_structure, _single_dense_site
+from .factorize import FactorizationPlan, PlanStep
 
 HADAMARD = "hadamard"
 FOURIER = "fourier"
@@ -179,25 +179,20 @@ def gate_unitary(g: Gate, n: int, d: int) -> StructuredOperator:
     return StructuredOperator(n, d, tuple(terms), label=label)
 
 
-def _factor_to_gate(op: StructuredOperator, d: int, atol: float = 1e-9) -> Gate:
-    if len(op.terms) == 1:
-        site = _single_dense_site(op)
-        m = op.terms[0].factors[site]
-        if m is fourier_gate(d) or np.allclose(m, fourier_gate(d), atol=atol):
-            return Gate(HADAMARD if d == 2 else FOURIER, target=site)
-        raise ValueError(f"factor {op.label!r} is not a recognized single-site gate")
-    control, target, level = _cphase_structure(op, atol=atol)
-    return Gate(CPHASE, target=target, control=control, level=level)
+def _step_to_gate(step: PlanStep, d: int) -> Gate:
+    if isinstance(step, factorize.FourierStep):
+        return Gate(HADAMARD if d == 2 else FOURIER, target=step.site)
+    if isinstance(step, factorize.CPhaseStep):
+        return Gate(CPHASE, target=step.target, control=step.control, level=step.level)
+    raise ValueError(f"plan step {step!r} is not a one- or two-site gate")
 
 
-def lower_to_circuit(
-    plan: FactorizationPlan, swap_style: str = KEEP_SWAP, atol: float = 1e-9
-) -> Circuit:
-    """Lower a QFT plan to gates: the plan factors in order, then the reversal.
+def lower_to_circuit(plan: FactorizationPlan, swap_style: str = KEEP_SWAP) -> Circuit:
+    """Lower a QFT plan to gates: the plan steps in order, then the reversal.
 
-    Each factor becomes one Fourier/Hadamard or controlled-R gate (control
-    and target matched against the factor structure within ``atol``, so both
-    plan orientations lower faithfully).  The digit reversal becomes
+    Each step becomes one Fourier/Hadamard or controlled-R gate with the
+    step's sites and level, so both plan orientations lower faithfully and
+    no factor operator is built.  The digit reversal becomes
     floor(n/2) SWAPs, which ``three-cnot`` expands into 3 CNOTs each (qubits
     only; the construction is not defined here for d > 2).
     """
@@ -207,7 +202,7 @@ def lower_to_circuit(
         raise ValueError(f"unknown swap style {swap_style!r}")
     if swap_style == THREE_CNOT and plan.d != 2:
         raise ValueError("the three-CNOT swap decomposition applies to qubits only")
-    gates = [_factor_to_gate(op, plan.d, atol=atol) for op in plan.factors]
+    gates = [_step_to_gate(step, plan.d) for step in plan.steps]
     for i in range(plan.n // 2):
         a, b = i, plan.n - 1 - i
         if swap_style == KEEP_SWAP:

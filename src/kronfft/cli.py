@@ -22,7 +22,6 @@ from . import factorize
 from .factorize import (
     FactorizationPlan,
     PlanFormatError,
-    _term_nonidentity_sites,
     fft_apply,
     fft_plan,
     plan_from_json,
@@ -149,11 +148,8 @@ def cmd_factor(args) -> int:
         f"orientation: {plan.orientation}",
         f"factors ({len(plan.factors)}, in application order):",
     ]
-    for i, op in enumerate(plan.factors):
-        support = sorted(
-            {s for t in op.terms for s in _term_nonidentity_sites(t, plan.d)}
-        )
-        sites = ",".join(str(s + 1) for s in support)
+    for i, (step, op) in enumerate(zip(plan.steps, plan.factors)):
+        sites = ",".join(str(s + 1) for s in sorted(step.sites(plan.n)))
         lines.append(f"  {i:4d}  {op.label:<16} terms={len(op.terms)}  sites={sites}")
     lines.append(f"reversal:    base-{plan.d} digit reversal on {plan.n} sites")
     _emit("\n".join(lines), args.output)

@@ -13,9 +13,15 @@ in the list is the first one applied to a vector).  Two plan kinds exist:
 The controlled-phase factors come in two matrix-equal orientations: the
 projectors can sit on the block's first site (``"control-first"``) or on the
 later site (``"target-first"``).
+
+A plan is stored as a tuple of step records (``ButterflyStep``,
+``FourierStep``, ``CPhaseStep``).  Serialisation and lowering read the
+records; the structured operators are built from them on first use of
+``FactorizationPlan.factors``.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -23,7 +29,6 @@ import numpy as np
 
 from .tensor import (
     DEFAULT_DENSE_LIMIT,
-    KronTerm,
     Permutation,
     StructuredOperator,
     _check_dense_limit,
@@ -32,7 +37,6 @@ from .tensor import (
     basis_projector,
     digit_reversal,
     embed_term,
-    identity,
     reverse_digits,
     single_site_operator,
     unitarity_residual,
@@ -52,11 +56,69 @@ class PlanFormatError(ValueError):
     """A serialized plan document is malformed."""
 
 
+@dataclass(frozen=True)
+class ButterflyStep:
+    """Radix-d FFT stage ``stage``: acts on the trailing ``stage + 1`` sites."""
+
+    stage: int
+
+    def sites(self, n: int) -> tuple[int, ...]:
+        return tuple(range(n - 1 - self.stage, n))
+
+    def to_dict(self) -> dict:
+        return {"op": "butterfly", "stage": self.stage}
+
+    def operator(self, n: int, d: int) -> StructuredOperator:
+        return _butterfly_factor(n, d, self.stage)
+
+
+@dataclass(frozen=True)
+class FourierStep:
+    """The d x d Fourier gate on one site (0-based)."""
+
+    site: int
+
+    def sites(self, n: int) -> tuple[int, ...]:
+        return (self.site,)
+
+    def to_dict(self) -> dict:
+        return {"op": "fourier", "site": self.site}
+
+    def operator(self, n: int, d: int) -> StructuredOperator:
+        return single_site_operator(
+            n, d, self.site, fourier_gate(d), label=f"fourier@{self.site + 1}"
+        )
+
+
+@dataclass(frozen=True)
+class CPhaseStep:
+    """Controlled phase: sum over l of ``E_l`` on ``control`` with ``R_level**l`` on ``target``."""
+
+    control: int
+    target: int
+    level: int
+
+    def sites(self, n: int) -> tuple[int, ...]:
+        return (self.control, self.target)
+
+    def to_dict(self) -> dict:
+        return {
+            "op": "cphase", "level": self.level, "control": self.control, "target": self.target
+        }
+
+    def operator(self, n: int, d: int) -> StructuredOperator:
+        return _cphase_factor(n, d, self.control, self.target, self.level)
+
+
+PlanStep = ButterflyStep | FourierStep | CPhaseStep
+
+
 @dataclass(frozen=True, eq=False)
 class FactorizationPlan:
     """Factored form of the DFT matrix: reversal times the factor product.
 
-    ``factors`` are stored in application order; as matrices the identity
+    ``steps`` are stored in application order; with ``factors`` their
+    operators, the identity
     ``reversal @ factors[-1] @ ... @ factors[0] == dft_matrix(d**n)`` holds.
     """
 
@@ -64,11 +126,19 @@ class FactorizationPlan:
     d: int
     kind: str
     orientation: str
-    factors: tuple[StructuredOperator, ...]
+    steps: tuple[PlanStep, ...]
 
     @property
     def dim(self) -> int:
         return self.d**self.n
+
+    @functools.cached_property
+    def factors(self) -> tuple[StructuredOperator, ...]:
+        """The steps as structured operators, built on first access and kept.
+
+        Building, serialising and lowering a plan never touch them.
+        """
+        return tuple(s.operator(self.n, self.d) for s in self.steps)
 
     @property
     def reversal(self) -> Permutation:
@@ -159,8 +229,8 @@ def _cphase_factor(
 def fft_plan(n: int, d: int = 2) -> FactorizationPlan:
     """Radix-d FFT factorization: n butterfly stages plus the digit reversal."""
     _check_plan_args(n, d)
-    factors = tuple(_butterfly_factor(n, d, k) for k in range(n - 1, -1, -1))
-    return FactorizationPlan(n, d, FFT, CONTROL_FIRST, factors)
+    steps = tuple(ButterflyStep(k) for k in range(n - 1, -1, -1))
+    return FactorizationPlan(n, d, FFT, CONTROL_FIRST, steps)
 
 
 def qft_plan(n: int, d: int = 2, orientation: str = TARGET_FIRST) -> FactorizationPlan:
@@ -172,18 +242,16 @@ def qft_plan(n: int, d: int = 2, orientation: str = TARGET_FIRST) -> Factorizati
     """
     _check_plan_args(n, d)
     _check_orientation(orientation)
-    fd = fourier_gate(d)
-    factors = []
+    steps = []
     for k in range(n - 1, -1, -1):
         b = n - k - 1  # 0-based site of this stage's Fourier gate
-        factors.append(single_site_operator(n, d, b, fd, label=f"fourier@{b + 1}"))
+        steps.append(FourierStep(b))
         for i in range(k, 0, -1):
             if orientation == CONTROL_FIRST:
-                control, target = b, b + i
+                steps.append(CPhaseStep(b, b + i, i + 1))
             else:
-                control, target = b + i, b
-            factors.append(_cphase_factor(n, d, control, target, i + 1))
-    return FactorizationPlan(n, d, QFT, orientation, tuple(factors))
+                steps.append(CPhaseStep(b + i, b, i + 1))
+    return FactorizationPlan(n, d, QFT, orientation, tuple(steps))
 
 
 def diagonal_decomposition(
@@ -285,22 +353,8 @@ def fft_apply(plan: FactorizationPlan, x: np.ndarray, inverse: bool = False) -> 
 # -- plan serialization -------------------------------------------------------
 #
 # Plans serialize to the same JSON container shape as circuits ({"version",
-# "n", "d", ...}); factor descriptors carry the semantic parameters needed to
-# rebuild the operators, with 0-based site indices.
-
-
-def _factor_descriptor(plan: FactorizationPlan, op: StructuredOperator) -> dict:
-    if plan.kind == FFT:
-        # The stage's Fourier gate site is the only non-identity site of the
-        # level-0 term (its R powers are all identity).
-        sites = _term_nonidentity_sites(op.terms[0], plan.d)
-        if len(sites) != 1:
-            raise ValueError(f"factor {op.label!r} is not a butterfly stage")
-        return {"op": "butterfly", "stage": plan.n - 1 - sites[0]}
-    if len(op.terms) == 1:
-        return {"op": "fourier", "site": _single_dense_site(op)}
-    control, target, level = _cphase_structure(op)
-    return {"op": "cphase", "level": level, "control": control, "target": target}
+# "n", "d", ...}); each step record writes the semantic parameters that
+# rebuild its operator, with 0-based site indices.
 
 
 def plan_to_dict(plan: FactorizationPlan) -> dict:
@@ -310,7 +364,7 @@ def plan_to_dict(plan: FactorizationPlan) -> dict:
         "n": plan.n,
         "d": plan.d,
         "orientation": plan.orientation,
-        "factors": [_factor_descriptor(plan, op) for op in plan.factors],
+        "factors": [step.to_dict() for step in plan.steps],
     }
 
 
@@ -318,18 +372,20 @@ def plan_to_json(plan: FactorizationPlan, indent: int | None = None) -> str:
     return json.dumps(plan_to_dict(plan), indent=indent)
 
 
-def _descriptor_to_factor(n: int, d: int, desc: dict) -> StructuredOperator:
+def _step_from_dict(n: int, desc) -> PlanStep:
+    if not isinstance(desc, dict):
+        raise PlanFormatError("plan factor must be a JSON object")
     op = desc.get("op")
     if op == "butterfly":
         stage = desc.get("stage")
         if not isinstance(stage, int) or not 0 <= stage < n:
             raise PlanFormatError(f"butterfly stage {stage!r} out of range")
-        return _butterfly_factor(n, d, stage)
+        return ButterflyStep(stage)
     if op == "fourier":
         site = desc.get("site")
         if not isinstance(site, int) or not 0 <= site < n:
             raise PlanFormatError(f"fourier site {site!r} out of range")
-        return single_site_operator(n, d, site, fourier_gate(d), label=f"fourier@{site + 1}")
+        return FourierStep(site)
     if op == "cphase":
         control, target, level = desc.get("control"), desc.get("target"), desc.get("level")
         for name, wire in (("control", control), ("target", target)):
@@ -339,7 +395,7 @@ def _descriptor_to_factor(n: int, d: int, desc: dict) -> StructuredOperator:
             raise PlanFormatError("cphase control and target must differ")
         if not isinstance(level, int) or level < 1:
             raise PlanFormatError(f"cphase level {level!r} must be a positive integer")
-        return _cphase_factor(n, d, control, target, level)
+        return CPhaseStep(control, target, level)
     raise PlanFormatError(f"unknown factor op {op!r}")
 
 
@@ -360,8 +416,8 @@ def plan_from_dict(doc: dict) -> FactorizationPlan:
     raw = doc.get("factors")
     if not isinstance(raw, list):
         raise PlanFormatError("plan factors must be a list")
-    factors = tuple(_descriptor_to_factor(n, d, desc) for desc in raw)
-    return FactorizationPlan(n, d, kind, orientation, factors)
+    steps = tuple(_step_from_dict(n, desc) for desc in raw)
+    return FactorizationPlan(n, d, kind, orientation, steps)
 
 
 def plan_from_json(text: str) -> FactorizationPlan:
@@ -370,92 +426,3 @@ def plan_from_json(text: str) -> FactorizationPlan:
     except json.JSONDecodeError as exc:
         raise PlanFormatError(f"plan document is not valid JSON: {exc}") from exc
     return plan_from_dict(doc)
-
-
-# -- factor structure inspection ----------------------------------------------
-
-
-def _term_nonidentity_sites(term: KronTerm, d: int) -> list[int]:
-    eye = identity(d)
-    return [
-        i
-        for i, f in enumerate(term.factors)
-        if f is not eye and not np.array_equal(f, eye)
-    ]
-
-
-def _single_dense_site(op: StructuredOperator) -> int:
-    """Site index of the unique non-identity factor of a single-term operator."""
-    sites = _term_nonidentity_sites(op.terms[0], op.local_dim)
-    if len(op.terms) != 1 or len(sites) != 1:
-        raise ValueError(f"operator {op.label!r} is not a single-site gate")
-    return sites[0]
-
-
-def _cphase_structure(op: StructuredOperator, atol: float = 1e-9) -> tuple[int, int, int]:
-    """Recover (control, target, level) from a controlled-phase factor.
-
-    The control is the site holding the basis projectors E_0..E_{d-1} (in term
-    order); the target holds the matching R powers.  Raises ``ValueError``
-    for anything that is not of this two-site shape within ``atol``.
-    """
-    d = op.local_dim
-    if len(op.terms) != d:
-        raise ValueError(f"operator {op.label!r} is not a controlled gate")
-
-    def projector_site(site: int, exact: bool) -> bool:
-        if exact:
-            return all(
-                t.factors[site] is basis_projector(ell, d)
-                for ell, t in enumerate(op.terms)
-            )
-        return all(
-            np.array_equal(t.factors[site], basis_projector(ell, d))
-            for ell, t in enumerate(op.terms)
-        )
-
-    # The level-1 term is non-identity exactly on the control and target
-    # sites, so only those two need the projector test.  Factors built by
-    # this library share the cached projector objects, letting the exact
-    # object scan succeed without any entry comparisons.
-    candidates = _term_nonidentity_sites(op.terms[1], d)
-    if not candidates:
-        candidates = list(range(op.n_sites))
-    control = next((s for s in candidates if projector_site(s, exact=True)), None)
-    if control is None:
-        control = next((s for s in candidates if projector_site(s, exact=False)), None)
-    if control is None:
-        raise ValueError(f"operator {op.label!r} has no projector site")
-    eye = identity(d)
-    targets = {
-        i
-        for t in op.terms
-        for i, f in enumerate(t.factors)
-        if i != control and f is not eye and not np.array_equal(f, eye)
-    }
-    if len(targets) != 1:
-        raise ValueError(f"operator {op.label!r} does not act on exactly two sites")
-    target = targets.pop()
-    level = _match_r_level(op.terms[1].factors[target], d, atol=atol)
-    for ell, t in enumerate(op.terms):
-        expected = r_gate_power(level, d, ell)
-        f = t.factors[target]
-        if t.coefficient != 1 or (
-            f is not expected and not np.allclose(f, expected, atol=atol)
-        ):
-            raise ValueError(f"operator {op.label!r} is not a controlled-R gate")
-    return control, target, level
-
-
-def _match_r_level(m: np.ndarray, d: int, atol: float = 1e-9) -> int:
-    """Identify the level of a phase gate R_level from its first phase entry."""
-    theta = np.angle(m[1, 1])
-    if theta >= 0:
-        theta -= 2 * np.pi
-    level = round(np.log(2 * np.pi / -theta) / np.log(d))
-    if level < 1:
-        raise ValueError("matrix is not a phase gate of any integer level")
-    expected = r_gate_power(level, d, 1)
-    if m is not expected and not np.allclose(m, expected, atol=atol):
-        raise ValueError("matrix is not a phase gate of any integer level")
-    return int(level)

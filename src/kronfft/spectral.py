@@ -24,14 +24,20 @@ def omega(modulus: int, power: int = 1) -> complex:
 def dft_matrix(
     size: int, inverse: bool = False, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> np.ndarray:
-    """Unitary DFT matrix with entries ``omega_N^(k*j) / sqrt(N)``."""
+    """Unitary DFT matrix with entries ``omega_N^(k*j) / sqrt(N)``.
+
+    Each entry is gathered from the N scaled roots ``omega_N^m / sqrt(N)``
+    at ``m = k*j mod N``, so only N exponentials are evaluated.
+    """
     if size < 1:
         raise ValueError("size must be a positive integer")
     _check_dense_limit(size, dense_limit)
     idx = np.arange(size, dtype=np.int64)
-    exps = np.outer(idx, idx) % size
+    exps = np.outer(idx, idx)
+    exps %= size
     sign = 2j if inverse else -2j
-    return np.exp(sign * np.pi * exps / size) / np.sqrt(size)
+    roots = np.exp(sign * np.pi * idx / size) / np.sqrt(size)
+    return roots[exps]
 
 
 def omega_diag(

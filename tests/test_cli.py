@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -38,6 +39,47 @@ class TestFactor:
         assert code == EXIT_OK
         assert doc["kind"] == "qft" and doc["n"] == 2
         assert len(doc["factors"]) == 3
+
+
+# sha256 of `kronfft factor` stdout (first 16 hex digits), recorded when the
+# factor listing still read each factor's sites off its matrices: listing
+# sites from the plan's step records must not change a byte.
+FACTOR_OUTPUT_SHA256 = [
+    ("1", "2", "fft", "control-first", "text", "d868f00ed7e9d502"),
+    ("1", "2", "fft", "control-first", "json", "3fea1bb76e3dfba6"),
+    ("1", "2", "fft", "target-first", "text", "d868f00ed7e9d502"),
+    ("1", "2", "fft", "target-first", "json", "3fea1bb76e3dfba6"),
+    ("1", "2", "qft", "control-first", "text", "a2d67c75cb0632a1"),
+    ("1", "2", "qft", "control-first", "json", "cac79e880ddd9e4b"),
+    ("1", "2", "qft", "target-first", "text", "e7e1aca56dff903d"),
+    ("1", "2", "qft", "target-first", "json", "cc3be717a1db68fa"),
+    ("4", "2", "fft", "control-first", "text", "a036ebfac4aca1b8"),
+    ("4", "2", "fft", "control-first", "json", "f13f1bc0d8ad889f"),
+    ("4", "2", "fft", "target-first", "text", "a036ebfac4aca1b8"),
+    ("4", "2", "fft", "target-first", "json", "f13f1bc0d8ad889f"),
+    ("4", "2", "qft", "control-first", "text", "9feb48c596a7c06a"),
+    ("4", "2", "qft", "control-first", "json", "647b3c6c991b6e84"),
+    ("4", "2", "qft", "target-first", "text", "c09acd0cca76fd2c"),
+    ("4", "2", "qft", "target-first", "json", "aa14d50dd7d3ad47"),
+    ("3", "3", "fft", "control-first", "text", "d42ba91183dfe0b1"),
+    ("3", "3", "fft", "control-first", "json", "dcce0c86947ec8d7"),
+    ("3", "3", "fft", "target-first", "text", "d42ba91183dfe0b1"),
+    ("3", "3", "fft", "target-first", "json", "dcce0c86947ec8d7"),
+    ("3", "3", "qft", "control-first", "text", "51de17339d5cc9e9"),
+    ("3", "3", "qft", "control-first", "json", "57d9782b46e721c7"),
+    ("3", "3", "qft", "target-first", "text", "c46fedff76e08473"),
+    ("3", "3", "qft", "target-first", "json", "f9c3745692c315ab"),
+]
+
+
+@pytest.mark.parametrize("n,d,kind,orientation,fmt,digest", FACTOR_OUTPUT_SHA256)
+def test_factor_output_bytes(capsys, n, d, kind, orientation, fmt, digest):
+    code, out, _ = run(
+        capsys, "factor", "--n", n, "--d", d, "--kind", kind,
+        "--orientation", orientation, "--format", fmt,
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 class TestVerify:

@@ -6,9 +6,16 @@ import pytest
 from kronfft import (
     CONTROL_FIRST,
     TARGET_FIRST,
+    ButterflyStep,
+    CPhaseStep,
     DenseLimitError,
+    FourierStep,
+    Gate,
+    GateCounts,
     PlanFormatError,
     apply_structured,
+    basis_projector,
+    count_gates,
     decomposition_product,
     dft_matrix,
     diagonal_decomposition,
@@ -20,18 +27,28 @@ from kronfft import (
     fft_plan,
     identity,
     kron,
+    lower_to_circuit,
     omega_diag,
     plan_from_json,
     plan_product,
     plan_to_json,
+    qft_count_formulas,
     qft_plan,
+    r_gate_power,
     verify_plan,
 )
-from kronfft.factorize import _term_nonidentity_sites
 
 
 def plan_residual(plan):
     return float(np.max(np.abs(plan_product(plan) - dft_matrix(plan.dim))))
+
+
+def assert_identity_off_sites(step, op, n, d):
+    sites = set(step.sites(n))
+    for term in op.terms:
+        for site, f in enumerate(term.factors):
+            if site not in sites:
+                np.testing.assert_array_equal(f, identity(d))
 
 
 class TestFftPlan:
@@ -55,6 +72,15 @@ class TestFftPlan:
             for term in op.terms:
                 for site in range(lead):
                     assert term.factors[site] is identity(d)
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (4, 2), (3, 3)])
+    def test_steps_are_butterfly_stages(self, n, d):
+        plan = fft_plan(n, d)
+        assert plan.steps == tuple(ButterflyStep(k) for k in range(n - 1, -1, -1))
+        for step, op in zip(plan.steps, plan.factors):
+            assert step.sites(n) == tuple(range(n - 1 - step.stage, n))
+            assert op.label == f"butterfly@{n - step.stage}"
+            assert_identity_off_sites(step, op, n, d)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_radix_two_stages_have_two_nonzeros_per_row(self, n):
@@ -152,25 +178,48 @@ class TestQftPlan:
 
     def test_every_factor_touches_at_most_two_sites(self):
         plan = qft_plan(5, 3)
-        for op in plan.factors:
-            support = set()
-            for term in op.terms:
-                support.update(_term_nonidentity_sites(term, plan.d))
-            assert len(support) <= 2
+        for step, op in zip(plan.steps, plan.factors):
+            assert len(step.sites(plan.n)) <= 2
+            assert_identity_off_sites(step, op, plan.n, plan.d)
 
     @pytest.mark.parametrize("orientation", [CONTROL_FIRST, TARGET_FIRST])
     def test_two_site_factors_pair_projectors_with_phases(self, orientation):
-        # every two-site factor decomposes into a projector family on one
-        # site and matching R powers on the other
-        from kronfft.factorize import _cphase_structure
-
+        # every two-site factor is a projector family on the step's control
+        # and the matching R powers on its target, exactly
         plan = qft_plan(4, 3, orientation)
-        for op in plan.factors:
-            if len(op.terms) == 1:
+        cphases = 0
+        for step, op in zip(plan.steps, plan.factors):
+            assert_identity_off_sites(step, op, plan.n, plan.d)
+            if isinstance(step, FourierStep):
+                assert len(op.terms) == 1
                 continue
-            control, target, level = _cphase_structure(op)
-            assert control != target
-            assert level >= 2
+            cphases += 1
+            assert step.control != step.target
+            assert step.level >= 2
+            assert len(op.terms) == plan.d
+            for ell, term in enumerate(op.terms):
+                assert term.coefficient == 1
+                np.testing.assert_array_equal(
+                    term.factors[step.control], basis_projector(ell, plan.d)
+                )
+                np.testing.assert_array_equal(
+                    term.factors[step.target], r_gate_power(step.level, plan.d, ell)
+                )
+        assert cphases == 6
+
+    @pytest.mark.parametrize("orientation", [CONTROL_FIRST, TARGET_FIRST])
+    def test_steps_in_application_order(self, orientation):
+        def cphase(b, i):
+            if orientation == CONTROL_FIRST:
+                return CPhaseStep(b, b + i, i + 1)
+            return CPhaseStep(b + i, b, i + 1)
+
+        plan = qft_plan(3, 2, orientation)
+        assert plan.steps == (
+            FourierStep(0), cphase(0, 2), cphase(0, 1),
+            FourierStep(1), cphase(1, 1),
+            FourierStep(2),
+        )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_orientations_expand_identically(self, n):
@@ -297,6 +346,50 @@ class TestPlanSerialization:
         mutate(doc)
         with pytest.raises(PlanFormatError):
             plan_from_json(json.dumps(doc))
+
+    def test_non_object_factor_rejected(self):
+        doc = json.loads(plan_to_json(qft_plan(2, 2)))
+        doc["factors"].append(["cphase", 2, 0, 1])
+        with pytest.raises(PlanFormatError):
+            plan_from_json(json.dumps(doc))
+
+    def test_high_level_cphase_round_trips_and_lowers(self):
+        # For d = 2, R_1100 rounds to exactly the identity matrix, so the
+        # factor's matrices no longer show its level; the step record does.
+        doc = json.loads(plan_to_json(qft_plan(3, 2)))
+        desc = next(f for f in doc["factors"] if f["op"] == "cphase")
+        desc["level"] = 1100
+        text = json.dumps(doc)
+        plan = plan_from_json(text)
+        assert plan_to_json(plan) == text
+        gate = Gate("cphase", target=desc["target"], control=desc["control"], level=1100)
+        circuit = lower_to_circuit(plan)
+        assert gate in circuit.gates
+        formulas = qft_count_formulas(3)
+        assert count_gates(circuit) == GateCounts(
+            hadamard_or_fourier=formulas["hadamard_or_fourier"],
+            controlled_r=formulas["controlled_r"],
+            swap=formulas["swap"],
+        )
+        factor = plan.factors[plan.steps.index(CPhaseStep(desc["control"], desc["target"], 1100))]
+        np.testing.assert_array_equal(expand(factor), np.eye(8))
+
+    @pytest.mark.parametrize("make", [lambda: qft_plan(64, 2), lambda: fft_plan(64, 2)])
+    def test_symbolic_work_builds_no_operator(self, make):
+        plan = make()
+        loaded = plan_from_json(plan_to_json(plan))
+        plan_to_json(loaded)
+        if plan.kind == "qft":
+            lower_to_circuit(plan)
+            lower_to_circuit(loaded)
+        assert "factors" not in plan.__dict__
+        assert "factors" not in loaded.__dict__
+
+    def test_factors_built_once_from_steps(self):
+        plan = plan_from_json(plan_to_json(qft_plan(3, 3)))
+        factors = plan.factors
+        assert plan.factors is factors
+        assert len(factors) == len(plan.steps)
 
     def test_invalid_json_rejected(self):
         with pytest.raises(PlanFormatError):

@@ -62,6 +62,20 @@ class TestDftMatrix:
             f[1] * np.sqrt(3), [1, omega(3, 1), omega(3, 2)], atol=1e-15
         )
 
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("size", [*range(1, 65), 4096])
+    def test_gather_equals_exponential_of_exponents(self, size, inverse):
+        # reference: one exponential per entry of the reduced exponent grid,
+        # evaluated in row blocks to bound the memory of the N = 4096 case
+        got = dft_matrix(size, inverse=inverse)
+        assert got.dtype == np.complex128 and got.shape == (size, size)
+        idx = np.arange(size, dtype=np.int64)
+        sign = 2j if inverse else -2j
+        for start in range(0, size, 512):
+            exps = np.outer(idx[start : start + 512], idx) % size
+            want = np.exp(sign * np.pi * exps / size) / np.sqrt(size)
+            assert got[start : start + 512].tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("size", [1, 2, 3, 8, 27, 100, 256, 1024])
     def test_unitary(self, size):
         f = dft_matrix(size)
