@@ -16,6 +16,7 @@ import numpy as np
 from .tensor import (
     DEFAULT_DENSE_LIMIT,
     StructuredOperator,
+    _apply_owned,
     _check_dense_limit,
     apply_structured,
     basis_projector,
@@ -220,18 +221,23 @@ def simulate_dense(
     """Apply the circuit's gates in order to a dense state vector.
 
     A swap exchanges two digit axes of the state (a transpose, no
-    arithmetic); every other gate goes through ``gate_unitary``.
+    arithmetic); every other gate goes through ``gate_unitary``.  The
+    caller's ``x`` is never written: once a gate has produced a new state,
+    diagonal gates scale that state in place.
     """
     _check_dense_limit(c.dim, dense_limit)
     x = np.asarray(x, dtype=complex)
     if x.shape[0] != c.dim:
         raise ValueError(f"vector length {x.shape[0]} does not match circuit dimension {c.dim}")
+    owned = False
     for g in c.gates:
         if g.kind == SWAP:
             digits = x.reshape((c.d,) * c.n + x.shape[1:])
             x = digits.swapaxes(g.target, g.control).reshape(x.shape)
         else:
-            x = apply_structured(gate_unitary(g, c.n, c.d), x)
+            op = gate_unitary(g, c.n, c.d)
+            x = _apply_owned(op, x) if owned else apply_structured(op, x)
+            owned = True
     return x
 
 

@@ -146,11 +146,12 @@ def cmd_factor(args) -> int:
         f"n:           {plan.n}",
         f"d:           {plan.d}",
         f"orientation: {plan.orientation}",
-        f"factors ({len(plan.factors)}, in application order):",
+        f"factors ({len(plan.steps)}, in application order):",
     ]
-    for i, (step, op) in enumerate(zip(plan.steps, plan.factors)):
+    for i, step in enumerate(plan.steps):
         sites = ",".join(str(s + 1) for s in sorted(step.sites(plan.n)))
-        lines.append(f"  {i:4d}  {op.label:<16} terms={len(op.terms)}  sites={sites}")
+        label = step.label(plan.n)
+        lines.append(f"  {i:4d}  {label:<16} terms={step.term_count(plan.d)}  sites={sites}")
     lines.append(f"reversal:    base-{plan.d} digit reversal on {plan.n} sites")
     _emit("\n".join(lines), args.output)
     return EXIT_OK

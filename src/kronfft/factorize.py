@@ -31,6 +31,7 @@ from .tensor import (
     DEFAULT_DENSE_LIMIT,
     Permutation,
     StructuredOperator,
+    _apply_owned,
     _check_dense_limit,
     _check_states,
     apply_structured,
@@ -41,7 +42,7 @@ from .tensor import (
     single_site_operator,
     unitarity_residual,
 )
-from .spectral import dft_matrix, fourier_gate, omega_diag, r_gate_power
+from .spectral import _dft_roots, _dft_rows, fourier_gate, omega_diag, r_gate_power
 
 FFT = "fft"
 QFT = "qft"
@@ -50,6 +51,9 @@ TARGET_FIRST = "target-first"
 ORIENTATIONS = (CONTROL_FIRST, TARGET_FIRST)
 
 PLAN_SCHEMA_VERSION = 1
+
+#: Rows of the DFT oracle that ``verify_plan`` gathers and compares at once.
+_ORACLE_ROWS = 64
 
 
 class PlanFormatError(ValueError):
@@ -68,8 +72,14 @@ class ButterflyStep:
     def to_dict(self) -> dict:
         return {"op": "butterfly", "stage": self.stage}
 
+    def label(self, n: int) -> str:
+        return f"butterfly@{n - self.stage}"
+
+    def term_count(self, d: int) -> int:
+        return d
+
     def operator(self, n: int, d: int) -> StructuredOperator:
-        return _butterfly_factor(n, d, self.stage)
+        return _butterfly_factor(n, d, self.stage, self.label(n))
 
 
 @dataclass(frozen=True)
@@ -84,10 +94,14 @@ class FourierStep:
     def to_dict(self) -> dict:
         return {"op": "fourier", "site": self.site}
 
+    def label(self, n: int) -> str:
+        return f"fourier@{self.site + 1}"
+
+    def term_count(self, d: int) -> int:
+        return 1
+
     def operator(self, n: int, d: int) -> StructuredOperator:
-        return single_site_operator(
-            n, d, self.site, fourier_gate(d), label=f"fourier@{self.site + 1}"
-        )
+        return single_site_operator(n, d, self.site, fourier_gate(d), label=self.label(n))
 
 
 @dataclass(frozen=True)
@@ -106,8 +120,14 @@ class CPhaseStep:
             "op": "cphase", "level": self.level, "control": self.control, "target": self.target
         }
 
+    def label(self, n: int) -> str:
+        return f"cr{self.level}@{self.control + 1}>{self.target + 1}"
+
+    def term_count(self, d: int) -> int:
+        return d
+
     def operator(self, n: int, d: int) -> StructuredOperator:
-        return _cphase_factor(n, d, self.control, self.target, self.level)
+        return _cphase_factor(n, d, self.control, self.target, self.level, self.label(n))
 
 
 PlanStep = ButterflyStep | FourierStep | CPhaseStep
@@ -186,7 +206,7 @@ def _check_orientation(orientation: str) -> None:
         raise ValueError(f"unknown orientation {orientation!r}")
 
 
-def _butterfly_factor(n: int, d: int, stage: int) -> StructuredOperator:
+def _butterfly_factor(n: int, d: int, stage: int, label: str) -> StructuredOperator:
     """FFT stage: identity on the leading sites, then the full radix block.
 
     The block merges the twiddle diagonal with the Fourier gate via the
@@ -203,11 +223,11 @@ def _butterfly_factor(n: int, d: int, stage: int) -> StructuredOperator:
         for i in range(1, stage + 1):
             sites[n - lead + i] = r_gate_power(i + 1, d, level)
         terms.append(embed_term(n, d, sites))
-    return StructuredOperator(n, d, tuple(terms), label=f"butterfly@{n - stage}")
+    return StructuredOperator(n, d, tuple(terms), label=label)
 
 
 def _cphase_factor(
-    n: int, d: int, control: int, target: int, level: int, label: str = ""
+    n: int, d: int, control: int, target: int, level: int, label: str
 ) -> StructuredOperator:
     """Two-site controlled-phase factor: projectors on control, R powers on target."""
     terms = tuple(
@@ -221,8 +241,6 @@ def _cphase_factor(
         )
         for ell in range(d)
     )
-    if not label:
-        label = f"cr{level}@{control + 1}>{target + 1}"
     return StructuredOperator(n, d, terms, label=label)
 
 
@@ -269,7 +287,7 @@ def diagonal_decomposition(
             control, target = 0, i
         else:
             control, target = i, 0
-        factors.append(_cphase_factor(k + 1, d, control, target, i + 1))
+        factors.append(CPhaseStep(control, target, i + 1).operator(k + 1, d))
     return DiagonalDecomposition(k, d, orientation, tuple(factors))
 
 
@@ -292,7 +310,7 @@ def decomposition_product(
     _check_dense_limit(dim, dense_limit)
     out = np.eye(dim, dtype=complex)
     for f in dd.factors:
-        out = apply_structured(f, out)
+        out = _apply_owned(f, out)
     return out
 
 
@@ -300,12 +318,13 @@ def plan_product(plan: FactorizationPlan, dense_limit: int = DEFAULT_DENSE_LIMIT
     """Dense matrix of ``reversal @ factors[-1] @ ... @ factors[0]``.
 
     Evaluated by structured application of each stored factor to the columns
-    of the identity, never by dense matrix-matrix products.
+    of the identity, never by dense matrix-matrix products.  Diagonal factors
+    scale the work array in place, so at most two N x N arrays are alive.
     """
     _check_dense_limit(plan.dim, dense_limit)
     out = np.eye(plan.dim, dtype=complex)
     for f in plan.factors:
-        out = apply_structured(f, out)
+        out = _apply_owned(f, out)
     return reverse_digits(out, plan.n, plan.d)
 
 
@@ -317,11 +336,20 @@ def verify_plan(
     """Certify a plan against the brute-force DFT matrix.
 
     Returns the max-abs entrywise residual of the plan product against
-    ``dft_matrix(d**n)`` together with per-factor unitarity residuals.
+    ``dft_matrix(d**n)`` together with per-factor unitarity residuals.  The
+    DFT rows are gathered ``_ORACLE_ROWS`` at a time from the same N roots as
+    ``dft_matrix`` and subtracted from the product in place, so the oracle
+    never holds a second N x N array.
     """
     approx = plan_product(plan, dense_limit=dense_limit)
-    approx -= dft_matrix(plan.dim, dense_limit=dense_limit)
-    residual = float(np.max(np.abs(approx)))
+    roots = _dft_roots(plan.dim)
+    peaks = []
+    for start in range(0, plan.dim, _ORACLE_ROWS):
+        rows = approx[start : start + _ORACLE_ROWS]
+        rows -= _dft_rows(roots, start, start + _ORACLE_ROWS)
+        peaks.append(np.max(np.abs(rows)))
+    del approx, rows
+    residual = float(np.max(peaks))
     factor_unitarity = ()
     if unitarity:
         factor_unitarity = tuple(
@@ -345,7 +373,8 @@ def fft_apply(plan: FactorizationPlan, x: np.ndarray, inverse: bool = False) -> 
     _check_states(x, plan.dim, "plan")
     work = np.conj(x) if inverse else x
     for f in plan.factors:
-        work = apply_structured(f, work)
+        # The caller's array is never written; every later one is ours.
+        work = apply_structured(f, work) if work is x else _apply_owned(f, work)
     work = reverse_digits(work, plan.n, plan.d)
     return np.conj(work, out=work) if inverse else work
 
@@ -372,10 +401,16 @@ def plan_to_json(plan: FactorizationPlan, indent: int | None = None) -> str:
     return json.dumps(plan_to_dict(plan), indent=indent)
 
 
-def _step_from_dict(n: int, desc) -> PlanStep:
+#: The plan kind each factor op belongs to.
+_OP_KIND = {"butterfly": FFT, "fourier": QFT, "cphase": QFT}
+
+
+def _step_from_dict(kind: str, n: int, desc) -> PlanStep:
     if not isinstance(desc, dict):
         raise PlanFormatError("plan factor must be a JSON object")
     op = desc.get("op")
+    if _OP_KIND.get(op, kind) != kind:
+        raise PlanFormatError(f"factor op {op!r} does not belong in a {kind!r} plan")
     if op == "butterfly":
         stage = desc.get("stage")
         if not isinstance(stage, int) or not 0 <= stage < n:
@@ -416,7 +451,7 @@ def plan_from_dict(doc: dict) -> FactorizationPlan:
     raw = doc.get("factors")
     if not isinstance(raw, list):
         raise PlanFormatError("plan factors must be a list")
-    steps = tuple(_step_from_dict(n, desc) for desc in raw)
+    steps = tuple(_step_from_dict(kind, n, desc) for desc in raw)
     return FactorizationPlan(n, d, kind, orientation, steps)
 
 

@@ -32,11 +32,25 @@ def dft_matrix(
     if size < 1:
         raise ValueError("size must be a positive integer")
     _check_dense_limit(size, dense_limit)
-    idx = np.arange(size, dtype=np.int64)
-    exps = np.outer(idx, idx)
-    exps %= size
+    return _dft_rows(_dft_roots(size, inverse), 0, size)
+
+
+def _dft_roots(size: int, inverse: bool = False) -> np.ndarray:
+    """The N scaled roots ``omega_N^m / sqrt(N)``, m = 0..N-1, that DFT entries take."""
     sign = 2j if inverse else -2j
-    roots = np.exp(sign * np.pi * idx / size) / np.sqrt(size)
+    return np.exp(sign * np.pi * np.arange(size, dtype=np.int64) / size) / np.sqrt(size)
+
+
+def _dft_rows(roots: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of the DFT matrix whose scaled roots are ``roots``.
+
+    Entry ``(k, j)`` is ``roots[k*j mod N]``; only the exponents of these
+    rows are formed, so a caller can stream the matrix in row blocks.
+    """
+    size = roots.size
+    idx = np.arange(size, dtype=np.int64)
+    exps = np.outer(idx[start:stop], idx)
+    exps %= size
     return roots[exps]
 
 

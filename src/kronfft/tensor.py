@@ -312,9 +312,30 @@ class _Kernel:
             d = self.matrix.shape[0]
             left = d**self.site
             out = _contract(self.matrix, x.reshape(left, d, x.size // (left * d)))
+        return self.scale(out.reshape(x.shape))
+
+    def scale(self, x: np.ndarray) -> np.ndarray:
+        """Multiply an ``(N, m)`` array by the diagonal, in place."""
         if self.diagonal is not None:
-            out.reshape(self.grouping + x.shape[1:])[self.box] *= self.diagonal
-        return out
+            x.reshape(self.grouping + x.shape[1:])[self.box] *= self.diagonal
+        return x
+
+
+def _apply_owned(op: StructuredOperator, work: np.ndarray) -> np.ndarray:
+    """``apply_structured(op, work)`` for a ``work`` array the caller owns.
+
+    ``work`` is a complex array of shape ``(op.dim,)`` or ``(op.dim, m)``
+    that nothing else reads.  An operator compiled to a diagonal alone
+    (every controlled phase) scales its box of ``work`` in place, through a
+    view that only splits the leading axis, and returns ``work``, with the
+    same arithmetic as ``apply_structured``.  Any other operator returns a
+    new array.
+    """
+    kernel = op._kernel
+    if kernel is None or kernel.matrix is not None:
+        return apply_structured(op, work)
+    kernel.scale(work.reshape(op.dim, work.size // op.dim))
+    return work
 
 
 def _box(diag: np.ndarray) -> tuple[slice, ...]:

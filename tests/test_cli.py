@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kronfft import dft_matrix
+from kronfft import cli
 from kronfft.cli import EXIT_FAIL, EXIT_LIMIT, EXIT_OK, main
 
 
@@ -32,6 +33,22 @@ class TestFactor:
         assert code == EXIT_OK
         assert out.count("fourier@") == 2
         assert out.count("cr") == 1
+
+    @pytest.mark.parametrize("kind", ["qft", "fft"])
+    def test_text_listing_builds_no_operator(self, capsys, monkeypatch, kind):
+        # Labels and term counts come from the step records.
+        plans = []
+
+        def build(args):
+            plans.append(real(args))
+            return plans[-1]
+
+        real = cli._build_plan
+        monkeypatch.setattr(cli, "_build_plan", build)
+        code, out, _ = run(capsys, "factor", "--n", "6", "--d", "3", "--kind", kind)
+        assert code == EXIT_OK and "terms=" in out
+        (plan,) = plans
+        assert "factors" not in plan.__dict__
 
     def test_json_document(self, capsys):
         code, out, _ = run(capsys, "factor", "--n", "2", "--format", "json")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,58 @@ class TestVerifyPlan:
         assert report.factor_unitarity == ()
 
 
+def _oracle_residual(plan):
+    """The residual as one subtraction against the whole DFT matrix."""
+    return float(np.max(np.abs(plan_product(plan) - dft_matrix(plan.dim))))
+
+
+class TestStreamedOracle:
+    """``verify_plan`` gathers the DFT rows in blocks; the residual must be
+    the one the whole matrix gives, bit for bit."""
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (3, 1), (3, 4), (5, 1), (5, 3)])
+    @pytest.mark.parametrize("kind", ["fft", "qft"])
+    def test_residual_equals_whole_matrix(self, kind, d, n):
+        plan = (fft_plan if kind == "fft" else qft_plan)(n, d)
+        assert verify_plan(plan).residual == _oracle_residual(plan)
+
+    # 3**7 and 5**5 are not multiples of the row block.
+    @pytest.mark.parametrize("n,d", [(7, 3), (5, 5)])
+    def test_residual_equals_whole_matrix_at_ragged_size(self, n, d):
+        plan = fft_plan(n, d)
+        assert verify_plan(plan, unitarity=False).residual == _oracle_residual(plan)
+
+    def test_tampered_plan_residual_equals_whole_matrix(self):
+        doc = json.loads(plan_to_json(qft_plan(6, 2)))
+        doc["factors"][-2]["level"] += 1  # the last controlled phase
+        plan = plan_from_json(json.dumps(doc))
+        report = verify_plan(plan)
+        assert report.residual > 1e-3
+        assert report.residual == _oracle_residual(plan)
+
+    def test_dense_limit_raised_before_allocating(self):
+        plan = fft_plan(13, 2)  # one 2**13 x 2**13 array would be 1 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError):
+                verify_plan(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("make", [lambda: fft_plan(10, 2), lambda: qft_plan(10, 2), lambda: fft_plan(7, 3)])
+    def test_peak_is_two_dense_arrays(self, make):
+        plan = make()
+        tracemalloc.start()
+        try:
+            verify_plan(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * plan.dim**2 * 16
+
+
 class TestFftApply:
     def test_basis_state_gives_uniform_column(self):
         plan = fft_plan(3, 2)
@@ -339,6 +392,19 @@ class TestPlanSerialization:
                 {"op": "cphase", "level": 0, "control": 0, "target": 1}
             ),
             lambda doc: doc["factors"].append({"op": "butterfly", "stage": 5}),
+            # Steps that do not belong to the document's plan kind.
+            lambda doc: doc["factors"].append({"op": "butterfly", "stage": 1}),
+            lambda doc: doc.update(kind="fft"),
+            lambda doc: doc.update(
+                kind="fft", factors=[{"op": "butterfly", "stage": 0}, {"op": "fourier", "site": 0}]
+            ),
+            lambda doc: doc.update(
+                kind="fft",
+                factors=[
+                    {"op": "butterfly", "stage": 0},
+                    {"op": "cphase", "level": 2, "control": 0, "target": 1},
+                ],
+            ),
         ],
     )
     def test_malformed_documents_rejected(self, mutate):
@@ -384,6 +450,15 @@ class TestPlanSerialization:
             lower_to_circuit(loaded)
         assert "factors" not in plan.__dict__
         assert "factors" not in loaded.__dict__
+
+    @pytest.mark.parametrize(
+        "make", [lambda: fft_plan(4, 3), lambda: qft_plan(4, 2), lambda: qft_plan(3, 5, CONTROL_FIRST)]
+    )
+    def test_step_label_and_term_count_match_operator(self, make):
+        plan = make()
+        for step, op in zip(plan.steps, plan.factors):
+            assert step.label(plan.n) == op.label
+            assert step.term_count(plan.d) == len(op.terms)
 
     def test_factors_built_once_from_steps(self):
         plan = plan_from_json(plan_to_json(qft_plan(3, 3)))

@@ -1,24 +1,38 @@
 """Compiled structured kernels, the transpose digit reversal and the input
 shape contract, checked against dense expansion, ``numpy.fft`` and the
 term-by-term definitions."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronfft import (
+    Circuit,
+    DiagonalDecomposition,
     Gate,
     StructuredOperator,
     apply_structured,
     basis_projector,
+    circuit_unitary,
+    compose,
+    decomposition_product,
+    diagonal_decomposition,
     digit_reversal,
     embed_term,
     expand,
     fft_apply,
     fft_plan,
     gate_unitary,
+    plan_from_json,
+    plan_product,
+    plan_to_json,
     qft_plan,
+    simulate_dense,
+    single_site_operator,
 )
+from kronfft.spectral import fourier_gate
 
 #: Operator shapes that compile to one contraction plus one diagonal.
 COMPILED = ("single-dense", "butterfly", "diagonal")
@@ -196,3 +210,125 @@ def test_digit_reversal_matches_definition(n, d):
     image = digit_reversal(n, d).image
     assert isinstance(image, tuple)
     assert image == tuple(_reverse_digit_by_digit(j, n, d) for j in range(d**n))
+
+
+def _chain(ops, x):
+    """Each operator in turn through the reference ``apply_structured``."""
+    for op in ops:
+        x = apply_structured(op, x)
+    return x
+
+
+def _read_only(a):
+    a = np.array(a, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
+def _cphase_first_plan(n, d):
+    """A QFT plan, loaded from JSON, whose first step is a controlled phase."""
+    doc = json.loads(plan_to_json(qft_plan(n, d)))
+    doc["factors"] = doc["factors"][1:] + doc["factors"][:1]
+    plan = plan_from_json(json.dumps(doc))
+    assert plan.factors[0]._kernel.matrix is None
+    return plan
+
+
+def _gate_chain(c, x):
+    """``simulate_dense`` as its parts: a swap exchanges two digit axes, every
+    other gate is its operator through ``apply_structured``."""
+    for g in c.gates:
+        if g.kind == "swap":
+            digits = x.reshape((c.d,) * c.n + x.shape[1:])
+            x = digits.swapaxes(g.target, g.control).reshape(x.shape)
+        else:
+            x = apply_structured(gate_unitary(g, c.n, c.d), x)
+    return x
+
+
+class TestOwnedArrays:
+    """Diagonal factors scale arrays the library owns in place; the caller's
+    array is never written, and results stay bit for bit the reference."""
+
+    @pytest.mark.parametrize("columns", [0, 3])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: qft_plan(5, 2), lambda: fft_plan(4, 3), lambda: _cphase_first_plan(4, 2),
+         lambda: _cphase_first_plan(3, 3)],
+    )
+    def test_fft_apply_leaves_input_and_matches_chain(self, make, inverse, columns):
+        plan = make()
+        rng = np.random.default_rng(7)
+        shape = (plan.dim, columns) if columns else (plan.dim,)
+        x = _read_only(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        before = x.tobytes()
+        y = fft_apply(plan, x, inverse=inverse)
+        assert x.tobytes() == before
+        assert y.tobytes() == _replay(plan, x, inverse).tobytes()
+        writable = np.array(x)
+        fft_apply(plan, writable, inverse=inverse)
+        assert writable.tobytes() == before
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_fft_apply_on_column_major_batch(self, inverse):
+        # np.conj keeps a Fortran-ordered input's layout, so the array the
+        # controlled phase scales in place is not C-contiguous.
+        plan = _cphase_first_plan(4, 2)
+        rng = np.random.default_rng(8)
+        x = np.asfortranarray(rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5)))
+        before = x.tobytes()
+        y = fft_apply(plan, x, inverse=inverse)
+        assert x.tobytes() == before
+        assert y.tobytes() == _replay(plan, x, inverse).tobytes()
+
+    @pytest.mark.parametrize(
+        "make", [lambda: fft_plan(4, 2), lambda: qft_plan(3, 3), lambda: _cphase_first_plan(4, 2)]
+    )
+    def test_plan_product_matches_chain(self, make):
+        plan = make()
+        reference = plan.reversal.apply(_chain(plan.factors, np.eye(plan.dim, dtype=complex)))
+        first = plan_product(plan)
+        assert first.tobytes() == reference.tobytes()
+        # The compiled diagonals are shared and must come through unchanged.
+        assert plan_product(plan).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("k,d", [(3, 2), (2, 3)])
+    def test_decomposition_product_matches_chain(self, k, d):
+        dd = diagonal_decomposition(k, d)
+        # Two Fourier gates composed, and a CNOT, take the term-by-term path.
+        fourier = [single_site_operator(k + 1, d, i, fourier_gate(d)) for i in (0, 1)]
+        fallback = (compose(*fourier), gate_unitary(Gate("cnot", target=1, control=0), k + 1, d))
+        assert all(op._kernel is None for op in fallback)
+        mixed = (dd.factors[0], *fallback, compose(dd.factors[1], dd.factors[0])) + dd.factors[1:]
+        for factors in (dd.factors, mixed):
+            custom = DiagonalDecomposition(k, d, dd.orientation, factors)
+            reference = _chain(factors, np.eye(d ** (k + 1), dtype=complex))
+            assert decomposition_product(custom).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("columns", [0, 2])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_simulate_dense_leaves_input_and_matches_chain(self, d, columns):
+        n = 3
+        gates = (
+            Gate("cphase", target=2, control=0, level=2),
+            Gate("cnot", target=1, control=2),
+            Gate("phase", target=1, level=3),
+            Gate("swap", target=0, control=2),
+            Gate("cphase", target=0, control=1, level=3),
+            Gate("fourier", target=2),
+            Gate("cphase", target=1, control=2, level=2),
+        )
+        c = Circuit(n, d, gates)
+        rng = np.random.default_rng(d + columns)
+        shape = (d**n, columns) if columns else (d**n,)
+        x = _read_only(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        before = x.tobytes()
+        y = simulate_dense(c, x)
+        assert x.tobytes() == before
+        assert y.tobytes() == _gate_chain(c, x).tobytes()
+        writable = np.array(x)
+        simulate_dense(c, writable)
+        assert writable.tobytes() == before
+        unitary = circuit_unitary(c)
+        assert unitary.tobytes() == _gate_chain(c, np.eye(d**n, dtype=complex)).tobytes()
