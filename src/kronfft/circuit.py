@@ -21,8 +21,9 @@ from .tensor import (
     apply_structured,
     basis_projector,
     embed_term,
+    single_site_operator,
 )
-from .spectral import dft_matrix, r_gate_power
+from .spectral import r_gate_power
 from . import factorize
 from .factorize import FactorizationPlan, PlanStep
 
@@ -139,45 +140,37 @@ def gate_unitary(g: Gate, n: int, d: int) -> StructuredOperator:
 
     Controlled gates expand to d Kronecker terms: the basis projector E_l on
     the control paired with the l-th power of the target unitary (the SUM
-    gate pattern for cnot when d > 2).
+    gate pattern for cnot when d > 2).  Hadamard/Fourier and controlled-R
+    gates are the operators of the matching plan steps, labels included.
     """
     for w in g.wires:
         if not 0 <= w < n:
             raise ValueError(f"wire {w} out of range for {n} wires")
-    label = g.kind
     if g.kind in (HADAMARD, FOURIER):
         if g.kind == HADAMARD and d != 2:
             raise ValueError("hadamard is a qubit gate; use fourier for d > 2")
-        term = embed_term(n, d, {g.target: dft_matrix(d)})
-        return StructuredOperator(n, d, (term,), label=label)
+        return factorize.FourierStep(g.target).operator(n, d)
+    if g.kind == CPHASE:
+        return factorize.CPhaseStep(g.control, g.target, g.level).operator(n, d)
     if g.kind == PHASE:
-        term = embed_term(n, d, {g.target: r_gate_power(g.level, d, 1)})
-        return StructuredOperator(n, d, (term,), label=f"r{g.level}")
+        return single_site_operator(n, d, g.target, r_gate_power(g.level, d, 1), f"r{g.level}")
     if g.kind == NOT:
-        term = embed_term(n, d, {g.target: shift_matrix(d)})
-        return StructuredOperator(n, d, (term,), label=label)
-    if g.kind in (CPHASE, CNOT):
-        base = shift_matrix(d) if g.kind == CNOT else None
-        terms = []
-        for ell in range(d):
-            if g.kind == CPHASE:
-                applied = r_gate_power(g.level, d, ell)
-            else:
-                applied = np.linalg.matrix_power(base, ell)
-            terms.append(
-                embed_term(n, d, {g.control: basis_projector(ell, d), g.target: applied})
-            )
-        return StructuredOperator(n, d, tuple(terms), label=label)
-    # swap: sum over basis pairs of |a><b| (x) |b><a|
-    terms = []
-    for a in range(d):
-        for b in range(d):
-            ket_ab = np.zeros((d, d), dtype=complex)
-            ket_ab[a, b] = 1.0
-            ket_ba = np.zeros((d, d), dtype=complex)
-            ket_ba[b, a] = 1.0
-            terms.append(embed_term(n, d, {g.target: ket_ab, g.control: ket_ba}))
-    return StructuredOperator(n, d, tuple(terms), label=label)
+        return single_site_operator(n, d, g.target, shift_matrix(d), NOT)
+    if g.kind == CNOT:
+        shifts = [np.linalg.matrix_power(shift_matrix(d), ell) for ell in range(d)]
+        terms = tuple(
+            embed_term(n, d, {g.control: basis_projector(ell, d), g.target: shift})
+            for ell, shift in enumerate(shifts)
+        )
+        return StructuredOperator(n, d, terms, label=CNOT)
+    # swap: sum over basis pairs of |a><b| (x) |b><a|; units[a, b] is |a><b|
+    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
+    terms = tuple(
+        embed_term(n, d, {g.target: units[a, b], g.control: units[b, a]})
+        for a in range(d)
+        for b in range(d)
+    )
+    return StructuredOperator(n, d, terms, label=SWAP)
 
 
 def _step_to_gate(step: PlanStep, d: int) -> Gate:
@@ -458,14 +451,15 @@ def _gate_from_dict(doc) -> Gate:
     kind = doc.get("kind")
     if kind not in GATE_KINDS:
         raise CircuitFormatError(f"unknown gate kind {kind!r}")
+    # ``type(...) is int`` rejects JSON booleans, which load as ``bool``.
     target = doc.get("target")
-    if not isinstance(target, int):
+    if type(target) is not int:
         raise CircuitFormatError(f"gate target must be an integer, got {target!r}")
     control = doc.get("control")
-    if control is not None and not isinstance(control, int):
+    if control is not None and type(control) is not int:
         raise CircuitFormatError(f"gate control must be an integer, got {control!r}")
     level = doc.get("level")
-    if level is not None and not isinstance(level, int):
+    if level is not None and type(level) is not int:
         raise CircuitFormatError(f"gate level must be an integer, got {level!r}")
     try:
         return Gate(kind, target=target, control=control, level=level)
@@ -484,7 +478,7 @@ def deserialize(text: str) -> Circuit:
     if doc.get("version") != CIRCUIT_SCHEMA_VERSION:
         raise CircuitFormatError(f"unsupported schema version {doc.get('version')!r}")
     n, d = doc.get("n"), doc.get("d")
-    if not isinstance(n, int) or not isinstance(d, int):
+    if type(n) is not int or type(d) is not int:
         raise CircuitFormatError("circuit document needs integer n and d")
     raw = doc.get("gates")
     if not isinstance(raw, list):

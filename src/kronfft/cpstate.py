@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    DEFAULT_DENSE_LIMIT,
-    StructuredOperator,
-    _check_dense_limit,
-    _is_identity,
-)
+from .tensor import DEFAULT_DENSE_LIMIT, StructuredOperator, _check_dense_limit
 from .spectral import dft_matrix
 from .factorize import (
     CONTROL_FIRST,
@@ -232,10 +227,9 @@ def apply_op_cp(op: StructuredOperator, s: CPState, prune: float = 1e-14) -> CPS
     vectors = np.repeat(s.vectors[:, None], k, axis=1)
     touched = np.zeros((k, s.n), dtype=bool)
     for j, term in enumerate(op.terms):
-        for i, f in enumerate(term.factors):
-            if not _is_identity(f):
-                touched[j, i] = True
-                vectors[:, j, i] = s.vectors[:, i] @ f.T
+        for i, f in term.site_matrices:
+            touched[j, i] = True
+            vectors[:, j, i] = s.vectors[:, i] @ f.T
     coefficients = np.array([t.coefficient for t in op.terms])
     weights, vectors = _normalize(s.weights[:, None] * coefficients, vectors, touched)
     weights = weights.reshape(-1)

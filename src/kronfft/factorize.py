@@ -79,7 +79,22 @@ class ButterflyStep:
         return d
 
     def operator(self, n: int, d: int) -> StructuredOperator:
-        return _butterfly_factor(n, d, self.stage, self.label(n))
+        """Identity on the leading sites, then the full radix block.
+
+        The block merges the twiddle diagonal with the Fourier gate via the
+        mixed-product identity, giving d Kronecker terms whose row supports
+        are disjoint (two nonzeros per row when d = 2).
+        """
+        if not 0 <= self.stage < n:
+            raise ValueError(f"stage {self.stage} out of range for {n} sites")
+        lead = n - 1 - self.stage  # 0-based site of the Fourier gate
+        terms = []
+        for level in range(d):
+            sites = {lead: basis_projector(level, d) @ fourier_gate(d)}
+            for i in range(1, self.stage + 1):
+                sites[lead + i] = r_gate_power(i + 1, d, level)
+            terms.append(embed_term(n, d, sites))
+        return StructuredOperator(n, d, tuple(terms), label=self.label(n))
 
 
 @dataclass(frozen=True)
@@ -127,7 +142,13 @@ class CPhaseStep:
         return d
 
     def operator(self, n: int, d: int) -> StructuredOperator:
-        return _cphase_factor(n, d, self.control, self.target, self.level, self.label(n))
+        """Projectors on ``control``, R powers on ``target``: one term per control level."""
+        phases = [r_gate_power(self.level, d, ell) for ell in range(d)]
+        terms = tuple(
+            embed_term(n, d, {self.control: basis_projector(ell, d), self.target: phase})
+            for ell, phase in enumerate(phases)
+        )
+        return StructuredOperator(n, d, terms, label=self.label(n))
 
 
 PlanStep = ButterflyStep | FourierStep | CPhaseStep
@@ -204,44 +225,6 @@ def _check_plan_args(n: int, d: int) -> None:
 def _check_orientation(orientation: str) -> None:
     if orientation not in ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
-
-
-def _butterfly_factor(n: int, d: int, stage: int, label: str) -> StructuredOperator:
-    """FFT stage: identity on the leading sites, then the full radix block.
-
-    The block merges the twiddle diagonal with the Fourier gate via the
-    mixed-product identity, giving d Kronecker terms whose row supports are
-    disjoint (two nonzeros per row when d = 2).
-    """
-    if not 0 <= stage < n:
-        raise ValueError(f"stage {stage} out of range for {n} sites")
-    fd = fourier_gate(d)
-    lead = stage + 1  # 0-based site of the Fourier gate is n - stage - 1
-    terms = []
-    for level in range(d):
-        sites = {n - lead: basis_projector(level, d) @ fd}
-        for i in range(1, stage + 1):
-            sites[n - lead + i] = r_gate_power(i + 1, d, level)
-        terms.append(embed_term(n, d, sites))
-    return StructuredOperator(n, d, tuple(terms), label=label)
-
-
-def _cphase_factor(
-    n: int, d: int, control: int, target: int, level: int, label: str
-) -> StructuredOperator:
-    """Two-site controlled-phase factor: projectors on control, R powers on target."""
-    terms = tuple(
-        embed_term(
-            n,
-            d,
-            {
-                control: basis_projector(ell, d),
-                target: r_gate_power(level, d, ell),
-            },
-        )
-        for ell in range(d)
-    )
-    return StructuredOperator(n, d, terms, label=label)
 
 
 def fft_plan(n: int, d: int = 2) -> FactorizationPlan:
@@ -405,6 +388,10 @@ def plan_to_json(plan: FactorizationPlan, indent: int | None = None) -> str:
 _OP_KIND = {"butterfly": FFT, "fourier": QFT, "cphase": QFT}
 
 
+# Integer fields are tested with ``type(value) is int``: JSON ``true`` and
+# ``false`` load as ``bool``, a subclass of ``int``, and are not integers.
+
+
 def _step_from_dict(kind: str, n: int, desc) -> PlanStep:
     if not isinstance(desc, dict):
         raise PlanFormatError("plan factor must be a JSON object")
@@ -413,22 +400,22 @@ def _step_from_dict(kind: str, n: int, desc) -> PlanStep:
         raise PlanFormatError(f"factor op {op!r} does not belong in a {kind!r} plan")
     if op == "butterfly":
         stage = desc.get("stage")
-        if not isinstance(stage, int) or not 0 <= stage < n:
+        if type(stage) is not int or not 0 <= stage < n:
             raise PlanFormatError(f"butterfly stage {stage!r} out of range")
         return ButterflyStep(stage)
     if op == "fourier":
         site = desc.get("site")
-        if not isinstance(site, int) or not 0 <= site < n:
+        if type(site) is not int or not 0 <= site < n:
             raise PlanFormatError(f"fourier site {site!r} out of range")
         return FourierStep(site)
     if op == "cphase":
         control, target, level = desc.get("control"), desc.get("target"), desc.get("level")
         for name, wire in (("control", control), ("target", target)):
-            if not isinstance(wire, int) or not 0 <= wire < n:
+            if type(wire) is not int or not 0 <= wire < n:
                 raise PlanFormatError(f"cphase {name} {wire!r} out of range")
         if control == target:
             raise PlanFormatError("cphase control and target must differ")
-        if not isinstance(level, int) or level < 1:
+        if type(level) is not int or level < 1:
             raise PlanFormatError(f"cphase level {level!r} must be a positive integer")
         return CPhaseStep(control, target, level)
     raise PlanFormatError(f"unknown factor op {op!r}")
@@ -446,7 +433,7 @@ def plan_from_dict(doc: dict) -> FactorizationPlan:
     if orientation not in ORIENTATIONS:
         raise PlanFormatError(f"unknown orientation {orientation!r}")
     n, d = doc.get("n"), doc.get("d")
-    if not isinstance(n, int) or not isinstance(d, int) or n < 1 or d < 2:
+    if type(n) is not int or type(d) is not int or n < 1 or d < 2:
         raise PlanFormatError(f"invalid plan dimensions n={n!r}, d={d!r}")
     raw = doc.get("factors")
     if not isinstance(raw, list):

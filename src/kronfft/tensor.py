@@ -51,8 +51,6 @@ def identity(dim: int) -> np.ndarray:
 
 
 def _is_identity(f: np.ndarray) -> bool:
-    if f.shape[0] != f.shape[1]:
-        return False
     eye = identity(f.shape[0])
     return f is eye or np.array_equal(f, eye)
 
@@ -103,40 +101,70 @@ def unitarity_residual_dense(m: np.ndarray) -> float:
     return float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class KronTerm:
     """One scaled Kronecker-product term: ``coefficient * (f_1 (x) ... (x) f_n)``.
 
     The scalar coefficient is kept separate from the factors so projector
     terms and phase factors compose without renormalizing the factors.
+
+    Only the non-identity factors are stored, as ``site_matrices``: read-only
+    ``(site, matrix)`` pairs in increasing site order.  A site that is absent
+    carries the identity.  ``KronTerm(c, factors)`` takes all ``n`` factors,
+    which must share one square shape, and drops those equal to the identity.
     """
 
     coefficient: complex
-    factors: tuple[np.ndarray, ...]
+    n_sites: int
+    local_dim: int
+    site_matrices: tuple[tuple[int, np.ndarray], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficient", complex(self.coefficient))
-        # Each distinct factor object is checked and frozen once; a shared
-        # factor such as identity(d) repeats at every site it fills.
-        factors = tuple(self.factors)
-        ids = list(map(id, factors))
-        frozen = {}
-        for key, f in dict(zip(ids, factors)).items():
-            a = _frozen_complex(f)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ValueError("Kronecker factors must be square matrices")
-            if a is not f:
-                frozen[key] = a
-        if frozen:
-            factors = tuple(map(frozen.get, ids, factors))
-        object.__setattr__(self, "factors", factors)
+    def __init__(self, coefficient: complex, factors):
+        factors = tuple(factors)
+        d = len(factors[0]) if factors else 0
+        self._set(coefficient, len(factors), d, enumerate(factors))
+
+    @classmethod
+    def _sparse(cls, coefficient: complex, n: int, d: int, pairs) -> "KronTerm":
+        """Term from ``(site, matrix)`` pairs in increasing site order, each site in range."""
+        term = object.__new__(cls)
+        term._set(coefficient, n, d, pairs)
+        return term
+
+    def _set(self, coefficient, n, d, pairs) -> None:
+        # Each distinct matrix object is frozen and checked once; a shared
+        # one may sit on several sites.  Entries hold ``f`` so its id stays
+        # unique while the pairs are read.
+        checked = {}
+        stored = []
+        for site, f in pairs:
+            if id(f) not in checked:
+                a = _frozen_complex(f)
+                if a.shape != (d, d):
+                    raise ValueError(f"Kronecker factors must be square {d} x {d} matrices")
+                checked[id(f)] = (f, None if _is_identity(a) else a)
+            a = checked[id(f)][1]
+            if a is not None:
+                stored.append((site, a))
+        self.__dict__.update(
+            coefficient=complex(coefficient), n_sites=n, local_dim=d, site_matrices=tuple(stored)
+        )
+
+    def factor(self, site: int) -> np.ndarray:
+        """The matrix on ``site``: the stored one, or the shared identity."""
+        return dict(self.site_matrices).get(site, identity(self.local_dim))
+
+    @property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """All ``n_sites`` factors, with ``identity(local_dim)`` on every absent site."""
+        out = [identity(self.local_dim)] * self.n_sites
+        for site, f in self.site_matrices:
+            out[site] = f
+        return tuple(out)
 
     @property
     def dim(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.shape[0]
-        return out
+        return self.local_dim**self.n_sites
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,18 +186,11 @@ class StructuredOperator:
         if self.local_dim < 1:
             raise ValueError("local dimension must be positive")
         object.__setattr__(self, "terms", tuple(self.terms))
-        distinct = {}  # each distinct factor object, by id, is checked once
         for t in self.terms:
-            if len(t.factors) != self.n_sites:
+            if (t.n_sites, t.local_dim) != (self.n_sites, self.local_dim):
                 raise ValueError(
-                    f"term has {len(t.factors)} factors, expected {self.n_sites}"
-                )
-            distinct.update(zip(map(id, t.factors), t.factors))
-        for f in distinct.values():
-            if f.shape != (self.local_dim, self.local_dim):
-                raise ValueError(
-                    f"factor shape {f.shape} does not match local dimension "
-                    f"{self.local_dim}"
+                    f"term has {t.n_sites} sites of dimension {t.local_dim}, expected "
+                    f"{self.n_sites} of dimension {self.local_dim}"
                 )
 
     @property
@@ -186,12 +207,12 @@ class StructuredOperator:
 def embed_term(
     n: int, d: int, sites: dict[int, np.ndarray], coefficient: complex = 1.0
 ) -> KronTerm:
-    """Kronecker term that is identity everywhere except the given 0-based sites."""
-    factors = [identity(d)] * n
-    for i, m in sites.items():
-        if 0 <= i < n:
-            factors[i] = m
-    return KronTerm(coefficient, tuple(factors))
+    """Kronecker term that is identity everywhere except the given 0-based sites.
+
+    Sites outside ``0..n-1`` are ignored.
+    """
+    pairs = sorted((i, m) for i, m in sites.items() if 0 <= i < n)
+    return KronTerm._sparse(coefficient, n, d, pairs)
 
 
 def single_site_operator(
@@ -213,14 +234,12 @@ def expand(op: StructuredOperator, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np
 def _term_site_ops(term: KronTerm) -> list[tuple[str, int, int, np.ndarray]]:
     """Reduce a term to a minimal op list for structured application.
 
-    Identity factors are skipped and adjacent diagonal sites are merged into
+    Only stored sites are visited, and adjacent diagonal sites are merged into
     a single combined diagonal, so a term touches the state once per
     non-identity region instead of once per site.
     """
     ops: list[list] = []
-    for i, f in enumerate(term.factors):
-        if _is_identity(f):
-            continue
+    for i, f in term.site_matrices:
         if _is_diagonal(f):
             diag = np.diagonal(f)
             if ops and ops[-1][0] == "diag" and ops[-1][1] + ops[-1][2] == i:
@@ -361,23 +380,23 @@ def _compile(op: StructuredOperator) -> _Kernel | None:
     owning row r.
     """
     n, d = op.n_sites, op.local_dim
-    dense = {i for t in op.terms for i, f in enumerate(t.factors) if not _is_diagonal(f)}
+    dense = {i for t in op.terms for i, f in t.site_matrices if not _is_diagonal(f)}
     if len(dense) > 1:
         return None
-    support = [i for i in range(n) if any(not _is_identity(t.factors[i]) for t in op.terms)]
+    support = sorted({i for t in op.terms for i, _ in t.site_matrices})
 
     def diagonals(t: KronTerm, sites) -> np.ndarray:
         out = np.ones(1, dtype=complex)
         for i in sites:
-            out = np.kron(out, np.diagonal(t.factors[i]))
+            out = np.kron(out, np.diagonal(t.factor(i)))
         return out.reshape((d,) * len(sites))
 
     if dense:
         (site,) = dense
-        rows = [np.any(t.factors[site] != 0, axis=1) for t in op.terms]
+        rows = [np.any(t.factor(site) != 0, axis=1) for t in op.terms]
         if np.any(np.sum(rows, axis=0) > 1):
             return None
-        matrix = sum(t.coefficient * t.factors[site] for t in op.terms)
+        matrix = sum(t.coefficient * t.factor(site) for t in op.terms)
         diag = np.ones((d,) * len(support), dtype=complex)
         by_row = np.moveaxis(diag, support.index(site), 0)
         others = [i for i in support if i != site]
@@ -427,39 +446,45 @@ def apply_structured(op: StructuredOperator, x: np.ndarray) -> np.ndarray:
 
 def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
     """Operator product ``a @ b`` via the mixed-product identity, term-pairwise."""
-    if (a.n_sites, a.local_dim) != (b.n_sites, b.local_dim):
+    n, d = a.n_sites, a.local_dim
+    if (n, d) != (b.n_sites, b.local_dim):
         raise ValueError("operators act on different site structures")
     terms = []
     for s in a.terms:
         for t in b.terms:
-            factors = tuple(fs @ ft for fs, ft in zip(s.factors, t.factors))
-            terms.append(KronTerm(s.coefficient * t.coefficient, factors))
-    return StructuredOperator(a.n_sites, a.local_dim, tuple(terms))
+            sites = sorted({i for i, _ in s.site_matrices + t.site_matrices})
+            pairs = [(i, s.factor(i) @ t.factor(i)) for i in sites]
+            terms.append(KronTerm._sparse(s.coefficient * t.coefficient, n, d, pairs))
+    return StructuredOperator(n, d, tuple(terms))
 
 
 def adjoint(op: StructuredOperator) -> StructuredOperator:
     """Conjugate transpose, taken factor by factor."""
+    n, d = op.n_sites, op.local_dim
     terms = tuple(
-        KronTerm(np.conj(t.coefficient), tuple(f.conj().T for f in t.factors))
+        KronTerm._sparse(
+            np.conj(t.coefficient), n, d, [(i, f.conj().T) for i, f in t.site_matrices]
+        )
         for t in op.terms
     )
-    return StructuredOperator(op.n_sites, op.local_dim, terms, label=op.label)
+    return StructuredOperator(n, d, terms, label=op.label)
 
 
 def unitarity_residual(op: StructuredOperator, dense_limit: int = DEFAULT_DENSE_LIMIT) -> float:
     """Max-abs entry of ``op @ op^H - I``.
 
-    When the Gram operator is diagonal on all but a few sites (true for every
-    factor produced by the factorization plans) the residual is evaluated on
-    the nonzero support only, which stays cheap even at the dense limit.
-    Otherwise falls back to dense expansion.
+    When the Gram operator is diagonal on all but a few of its stored sites
+    (true for every factor produced by the factorization plans) the residual
+    is evaluated on those sites only, which stays cheap at any number of
+    sites.  Otherwise falls back to dense expansion.
     """
     gram = compose(op, adjoint(op))
-    n, d = op.n_sites, op.local_dim
+    d = op.local_dim
     dense_sites = sorted(
-        {i for t in gram.terms for i in range(n) if not _is_diagonal(t.factors[i])}
+        {i for t in gram.terms for i, f in t.site_matrices if not _is_diagonal(f)}
     )
-    diag_sites = [i for i in range(n) if i not in dense_sites]
+    stored = {i for t in gram.terms for i, _ in t.site_matrices}
+    diag_sites = sorted(stored.difference(dense_sites))
     support = d ** (len(diag_sites) + 2 * len(dense_sites))
     if support <= max(dense_limit * d * d, 64):
         bdim = d ** len(dense_sites)
@@ -468,14 +493,13 @@ def unitarity_residual(op: StructuredOperator, dense_limit: int = DEFAULT_DENSE_
         for t in gram.terms:
             diag_part = np.ones(1, dtype=complex)
             for i in diag_sites:
-                diag_part = np.kron(diag_part, np.diagonal(t.factors[i]))
+                diag_part = np.kron(diag_part, np.diagonal(t.factor(i)))
             dense_part = np.ones((1, 1), dtype=complex)
             for i in dense_sites:
-                dense_part = np.kron(dense_part, t.factors[i])
+                dense_part = np.kron(dense_part, t.factor(i))
             acc += t.coefficient * diag_part[:, None, None] * dense_part[None, :, :]
         acc -= np.eye(bdim)[None, :, :]
         return float(np.max(np.abs(acc)))
-    _check_dense_limit(op.dim, dense_limit)
     return unitarity_residual_dense(expand(op, dense_limit))
 
 

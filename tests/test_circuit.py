@@ -7,8 +7,10 @@ from kronfft import (
     CONTROL_FIRST,
     TARGET_FIRST,
     THREE_CNOT,
+    CPhaseStep,
     Circuit,
     CircuitFormatError,
+    FourierStep,
     Gate,
     adjoint,
     apply_structured,
@@ -167,6 +169,24 @@ class TestGateUnitary:
     def test_invalid_wires(self):
         with pytest.raises(ValueError):
             gate_unitary(Gate("hadamard", target=5), 2, 2)
+
+    @pytest.mark.parametrize(
+        "gate,step,d",
+        [
+            (Gate("hadamard", target=1), FourierStep(1), 2),
+            (Gate("fourier", target=2), FourierStep(2), 3),
+            (Gate("cphase", target=0, control=2, level=3), CPhaseStep(2, 0, 3), 2),
+            (Gate("cphase", target=2, control=1, level=2), CPhaseStep(1, 2, 2), 5),
+        ],
+    )
+    def test_plan_gates_are_their_step_operators(self, gate, step, d):
+        op, want = gate_unitary(gate, 3, d), step.operator(3, d)
+        assert op.label == want.label == step.label(3)
+        assert len(op.terms) == len(want.terms)
+        for t, u in zip(op.terms, want.terms):
+            assert t.coefficient == u.coefficient
+            assert [i for i, _ in t.site_matrices] == [i for i, _ in u.site_matrices]
+            assert all(a is b for (_, a), (_, b) in zip(t.site_matrices, u.site_matrices))
 
     def test_shift_matrix_is_cyclic(self):
         s = shift_matrix(3)
@@ -389,6 +409,20 @@ class TestSerialization:
     )
     def test_malformed_gates_rejected(self, gates):
         doc = {"version": 1, "n": 2, "d": 2, "gates": gates}
+        with pytest.raises(CircuitFormatError):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", True), ("d", True), ("target", False), ("control", True), ("level", True)],
+    )
+    def test_json_booleans_are_not_integers(self, field, value):
+        # Each boolean stands for an in-range integer, so only its type is wrong.
+        header = field in ("n", "d")
+        gate = Gate("hadamard", 0) if header else Gate("cphase", target=0, control=1, level=2)
+        doc = json.loads(serialize(Circuit(1 if header else 2, 2, (gate,))))
+        entry = doc if header else doc["gates"][0]
+        entry[field] = value
         with pytest.raises(CircuitFormatError):
             deserialize(json.dumps(doc))
 

@@ -36,6 +36,7 @@ from kronfft import (
     qft_count_formulas,
     qft_plan,
     r_gate_power,
+    unitarity_residual,
     verify_plan,
 )
 
@@ -466,9 +467,60 @@ class TestPlanSerialization:
         assert plan.factors is factors
         assert len(factors) == len(plan.steps)
 
+    @pytest.mark.parametrize(
+        "op,field,value",
+        [
+            (None, "n", True),
+            (None, "d", True),
+            ("butterfly", "stage", True),
+            ("fourier", "site", False),
+            ("cphase", "control", True),
+            ("cphase", "target", False),
+            ("cphase", "level", True),
+        ],
+    )
+    def test_json_booleans_are_not_integers(self, op, field, value):
+        # Each boolean stands for an in-range integer, so only its type is wrong.
+        plan = fft_plan(2, 2) if op == "butterfly" else qft_plan(1 if op is None else 2, 2)
+        doc = json.loads(plan_to_json(plan))
+        entry = doc if op is None else next(f for f in doc["factors"] if f["op"] == op)
+        entry[field] = value
+        with pytest.raises(PlanFormatError):
+            plan_from_json(json.dumps(doc))
+
     def test_invalid_json_rejected(self):
         with pytest.raises(PlanFormatError):
             plan_from_json("{not json")
+
+
+def stored_site_matrices(plan):
+    return sum(len(t.site_matrices) for f in plan.factors for t in f.terms)
+
+
+class TestStoredSites:
+    @pytest.mark.parametrize("n,d", [(1, 2), (5, 2), (4, 3), (3, 5), (150, 2)])
+    def test_qft_plan_stores_one_or_two_sites_per_term(self, n, d):
+        # Fourier: one matrix.  Controlled phase: d projectors and the d - 1
+        # non-identity R powers.
+        assert stored_site_matrices(qft_plan(n, d)) == n + (2 * d - 1) * n * (n - 1) // 2
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (6, 2), (4, 3), (3, 5)])
+    def test_fft_plan_stores_no_leading_identities(self, n, d):
+        assert stored_site_matrices(fft_plan(n, d)) == n + (d - 1) * n * (n + 1) // 2
+
+    def test_high_level_cphase_stores_only_control_projectors(self):
+        # R_1100 and all its powers equal the identity at d = 2.
+        op = CPhaseStep(0, 2, 1100).operator(3, 2)
+        assert [[site for site, _ in t.site_matrices] for t in op.terms] == [[0], [0]]
+        for ell, t in enumerate(op.terms):
+            assert t.site_matrices[0][1] is basis_projector(ell, 2)
+
+    @pytest.mark.parametrize("make", [lambda: qft_plan(20, 2), lambda: qft_plan(8, 3)])
+    def test_factor_unitarity_above_dense_limit(self, make):
+        plan = make()
+        assert plan.dim > 4096
+        for f in plan.factors:
+            assert unitarity_residual(f) <= 1e-12, f.label
 
 
 class TestPlanApplicationOrder:

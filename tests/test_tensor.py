@@ -182,6 +182,30 @@ class TestStructuredOperator:
             StructuredOperator(2, 3, (KronTerm(1.0, (identity(3), identity(2))),))
 
 
+class TestSparseTerms:
+    def test_only_non_identity_sites_are_stored(self):
+        x = np.array([[0, 1], [1, 0]])
+        term = KronTerm(1, (np.eye(2), x))
+        assert [site for site, _ in term.site_matrices] == [1]
+        assert term.factors[0] is identity(2)
+        np.testing.assert_array_equal(term.factors[1], x)
+        assert (term.n_sites, term.local_dim, term.dim) == (2, 2, 4)
+
+    def test_all_identity_term_keeps_its_structure(self):
+        term = embed_term(3, 2, {1: np.eye(2)})
+        assert term.site_matrices == ()
+        assert term.factors == (identity(2),) * 3
+        assert (term.n_sites, term.local_dim) == (3, 2)
+
+    def test_compose_drops_identity_products(self):
+        x = np.array([[0, 1], [1, 0]])
+        op = single_site_operator(3, 2, 1, x)
+        square = compose(op, op)
+        assert [t.site_matrices for t in square.terms] == [()]
+        gram = compose(op, adjoint(op))
+        np.testing.assert_array_equal(expand(gram), np.eye(8))
+
+
 class TestApplyStructured:
     def test_identity_operator(self):
         rng = np.random.default_rng(3)
