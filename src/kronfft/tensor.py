@@ -279,31 +279,18 @@ def _check_states(x: np.ndarray, dim: int, what: str) -> None:
         raise ValueError(f"vector length {x.shape[0]} does not match {what} dimension {dim}")
 
 
-#: Trailing extents up to this are too short for a batched ``np.matmul``,
-#: which then pays its per-batch overhead on (d, d) @ (d, rest) products.
+#: Trailing extents (times columns) up to this are applied as one GEMM by a
+#: ``(d*rest)``-square block; a batched ``np.matmul`` would pay its per-batch
+#: overhead on ``(d, d) @ (d, rest)`` products.
 _SHORT_REST = 16
 
 
 def _contract(m: np.ndarray, view: np.ndarray) -> np.ndarray:
-    """``m`` applied to the middle axis of a ``(left, d, rest)`` view, as a new array.
-
-    Long trailing extents use a batched ``np.matmul``.  Short ones use a
-    d*d-step axpy loop for d = 2, and otherwise move the site axis last for
-    one ``(left*rest, d) @ (d, d)`` product, which beats d*d strided passes.
+    """``m`` applied to the middle axis of a ``(left, d, rest)`` view, as a new
+    array: one batched ``np.matmul``.  Only trailing extents past
+    ``_SHORT_REST`` come here; a kernel multiplies shorter ones by its block.
     """
-    left, d, rest = view.shape
-    if rest > _SHORT_REST:
-        return np.matmul(m, view)
-    if d > 2 or rest == 1:
-        moved = np.ascontiguousarray(view.transpose(0, 2, 1)).reshape(left * rest, d)
-        return np.ascontiguousarray((moved @ m.T).reshape(left, rest, d).transpose(0, 2, 1))
-    out = np.empty_like(view)
-    for i in range(d):
-        row = out[:, i]
-        np.multiply(view[:, 0], m[i, 0], out=row)
-        for j in range(1, d):
-            row += m[i, j] * view[:, j]
-    return out
+    return np.matmul(m, view)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,6 +302,18 @@ class _Kernel:
     alternating runs of sites the diagonal depends on and sites it does not,
     and scales the slice ``box`` of that view by ``diagonal``; the diagonal is
     1 outside the box.  ``diagonal`` is ``None`` when it is 1 everywhere.
+
+    When the trailing extent ``rest`` (later sites times columns) is at most
+    ``_SHORT_REST``, the state is a ``(d**site, d*rest)`` matrix ``X`` and
+    the operator is ``I (x) B`` for ``B = D (M (x) I_rest)``: one GEMM
+    ``X B^T``.  ``block`` holds that ``B^T`` for one column, with the
+    diagonal folded in, when the diagonal depends only on ``site`` and later
+    sites (every butterfly stage; a Fourier gate has none); a batch of ``m``
+    columns multiplies by ``block (x) I_m`` and skips the diagonal pass.
+    Otherwise ``block`` is ``None`` and a short extent multiplies by
+    ``(M (x) I_rest)^T`` and then scales.  The GEMM sums products ``D m_ij
+    x_j``, so an ``inf`` or ``nan`` entry spreads to its whole block, and
+    the last bits differ from scaling after the sum.
     """
 
     site: int
@@ -322,15 +321,23 @@ class _Kernel:
     grouping: tuple[int, ...]
     box: tuple[slice, ...]
     diagonal: np.ndarray | None
+    block: np.ndarray | None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply to a contiguous ``(N, m)`` array, returning a new array."""
         if self.matrix is None:
-            out = x.copy()
+            return self.scale(x.copy())
+        d = self.matrix.shape[0]
+        left = d**self.site
+        rest = x.size // (left * d)
+        if rest > _SHORT_REST:
+            out = _contract(self.matrix, x.reshape(left, d, rest))
+        elif self.block is None:
+            out = x.reshape(left, d * rest) @ np.kron(self.matrix.T, identity(rest))
         else:
-            d = self.matrix.shape[0]
-            left = d**self.site
-            out = _contract(self.matrix, x.reshape(left, d, x.size // (left * d)))
+            m = x.shape[1]
+            block = self.block if m == 1 else np.kron(self.block, identity(m))
+            return (x.reshape(left, d * rest) @ block).reshape(x.shape)
         return self.scale(out.reshape(x.shape))
 
     def scale(self, x: np.ndarray) -> np.ndarray:
@@ -408,13 +415,21 @@ def _compile(op: StructuredOperator) -> _Kernel | None:
         for t in op.terms:
             diag += t.coefficient * diagonals(t, support)
 
+    block = None
+    rest = d ** (n - site - 1)
+    if matrix is not None and rest <= _SHORT_REST and support[0] == site:
+        # Row r of M (x) I_rest scaled by the diagonal's entry r over the
+        # contraction site and the later ones.
+        later = tuple(d if i in support else 1 for i in range(site, n))
+        twiddles = np.broadcast_to(diag.reshape(later), (d,) * (n - site)).reshape(-1, 1)
+        block = np.ascontiguousarray((twiddles * np.kron(matrix, identity(rest))).T)
     runs = [(inside, len(list(g))) for inside, g in itertools.groupby(i in support for i in range(n))]
     grouping = tuple(d**k for _, k in runs)
     if np.all(diag == 1):
-        return _Kernel(site, matrix, grouping, (), None)
+        return _Kernel(site, matrix, grouping, (), None, block)
     diag = diag.reshape(tuple(d**k if inside else 1 for inside, k in runs) + (1,))
     box = _box(diag)
-    return _Kernel(site, matrix, grouping, box, diag[box])
+    return _Kernel(site, matrix, grouping, box, diag[box], block)
 
 
 def apply_structured(op: StructuredOperator, x: np.ndarray) -> np.ndarray:
@@ -475,8 +490,9 @@ def unitarity_residual(op: StructuredOperator, dense_limit: int = DEFAULT_DENSE_
 
     When the Gram operator is diagonal on all but a few of its stored sites
     (true for every factor produced by the factorization plans) the residual
-    is evaluated on those sites only, which stays cheap at any number of
-    sites.  Otherwise falls back to dense expansion.
+    is evaluated on those sites only, over at most as many entries as an
+    ``N x N`` matrix at the dense limit.  Otherwise falls back to dense
+    expansion.
     """
     gram = compose(op, adjoint(op))
     d = op.local_dim
@@ -486,7 +502,7 @@ def unitarity_residual(op: StructuredOperator, dense_limit: int = DEFAULT_DENSE_
     stored = {i for t in gram.terms for i, _ in t.site_matrices}
     diag_sites = sorted(stored.difference(dense_sites))
     support = d ** (len(diag_sites) + 2 * len(dense_sites))
-    if support <= max(dense_limit * d * d, 64):
+    if support <= max(dense_limit**2, 64):
         bdim = d ** len(dense_sites)
         ddim = d ** len(diag_sites)
         acc = np.zeros((ddim, bdim, bdim), dtype=complex)

@@ -508,6 +508,13 @@ class TestStoredSites:
     def test_fft_plan_stores_no_leading_identities(self, n, d):
         assert stored_site_matrices(fft_plan(n, d)) == n + (d - 1) * n * (n + 1) // 2
 
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_butterfly_unitarity_above_dense_limit(self, n):
+        # Each stage's Gram operator is diagonal off its Fourier site, so the
+        # residual is taken without expanding the factor.
+        for f in fft_plan(n, 2).factors:
+            assert unitarity_residual(f) <= 1e-12, f.label
+
     def test_high_level_cphase_stores_only_control_projectors(self):
         # R_1100 and all its powers equal the identity at d = 2.
         op = CPhaseStep(0, 2, 1100).operator(3, 2)

@@ -33,6 +33,7 @@ from kronfft import (
     single_site_operator,
 )
 from kronfft.spectral import fourier_gate
+from kronfft.tensor import _SHORT_REST
 
 #: Operator shapes that compile to one contraction plus one diagonal.
 COMPILED = ("single-dense", "butterfly", "diagonal")
@@ -98,11 +99,12 @@ class TestCompiledKernels:
     @given(
         shape=st.sampled_from(COMPILED + FALLBACK),
         n=st.integers(1, 4),
-        d=st.sampled_from([2, 3]),
-        columns=st.integers(1, 3),
+        d=st.sampled_from([2, 3, 5]),
+        columns=st.integers(1, 20),
         seed=st.integers(0, 2**31),
     )
     def test_matches_dense_expansion(self, shape, n, d, columns, seed):
+        # Trailing extents times columns fall on both sides of _SHORT_REST.
         if n == 1 and shape in ("two-dense", "swap"):
             n = 2
         op = random_operator(shape, n, d, seed)
@@ -113,6 +115,28 @@ class TestCompiledKernels:
         batch = rng.standard_normal((op.dim, columns)) + 1j * rng.standard_normal((op.dim, columns))
         assert np.max(np.abs(apply_structured(op, x) - dense @ x)) < 1e-12
         assert np.max(np.abs(apply_structured(op, batch) - dense @ batch)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_diagonal_before_contraction_site(self, d):
+        # The diagonal depends on site 0, before the contraction on site 2,
+        # so it cannot be folded into the short-extent block.
+        n = 3
+        rng = np.random.default_rng(d)
+        phases = np.diag(np.exp(2j * np.pi * rng.random(d)))
+        op = StructuredOperator(n, d, (embed_term(n, d, {0: phases, 2: _dense(rng, d)}),))
+        kernel = op._kernel
+        assert kernel.matrix is not None and kernel.diagonal is not None
+        assert kernel.block is None
+        dense = expand(op)
+        for shape in ((op.dim,), (op.dim, 4), (op.dim, 17)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.max(np.abs(apply_structured(op, x) - dense @ x)) < 1e-12
+
+    def test_short_stages_carry_folded_block(self):
+        n, d = 6, 2
+        for stage, f in zip(range(n - 1, -1, -1), fft_plan(n, d).factors):
+            short = d**stage <= _SHORT_REST
+            assert (f._kernel.block is not None) == short, f.label
 
     def test_plan_factors_compile(self):
         for plan in (fft_plan(4, 3), qft_plan(4, 2), qft_plan(3, 3, "control-first")):
@@ -181,6 +205,22 @@ class TestFftApply:
         replay = _replay(plan, x, inverse)
         assert y.dtype == replay.dtype and y.shape == replay.shape
         assert y.tobytes() == replay.tobytes()
+
+
+@pytest.mark.parametrize("columns", [0, 3])
+@pytest.mark.parametrize(
+    "make", [lambda: fft_plan(8, 2), lambda: qft_plan(8, 2), lambda: fft_plan(5, 3),
+             lambda: fft_plan(4, 5)],
+)
+def test_fft_apply_equals_replay_across_block_threshold(make, columns):
+    # Within one plan, short trailing extents take the block GEMM and long
+    # ones the batched matmul; both must equal the per-factor reference.
+    plan = make()
+    rng = np.random.default_rng(plan.dim + columns)
+    shape = (plan.dim, columns) if columns else (plan.dim,)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for inverse in (False, True):
+        assert fft_apply(plan, x, inverse).tobytes() == _replay(plan, x, inverse).tobytes()
 
 
 class TestInputShapes:
