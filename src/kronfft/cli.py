@@ -253,10 +253,11 @@ def cmd_simulate(args) -> int:
         x[index] = 1.0
     if x.shape[0] != plan.dim:
         raise ValueError(f"input length {x.shape[0]} does not match d**n = {plan.dim}")
+    if args.check:  # before any output, so a check past the dense limit writes nothing
+        oracle = dft_matrix(plan.dim, inverse=args.inverse, dense_limit=limit) @ x
     y = fft_apply(plan, x, inverse=args.inverse)
     _emit(_format_vector(y, args.format), args.output)
     if args.check:
-        oracle = dft_matrix(plan.dim, inverse=args.inverse, dense_limit=limit) @ x
         diff = float(np.max(np.abs(y - oracle)))
         print(f"dense oracle max diff: {diff:.3e}", file=sys.stderr)
         if diff > args.tolerance:

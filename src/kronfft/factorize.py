@@ -16,8 +16,8 @@ later site (``"target-first"``).
 
 A plan is stored as a tuple of step records (``ButterflyStep``,
 ``FourierStep``, ``CPhaseStep``).  Serialisation and lowering read the
-records; the structured operators are built from them on first use of
-``FactorizationPlan.factors``.
+records; each builds its dense kernel (``FactorizationPlan.kernels``, which
+dense application runs) and its operator (``.factors``) on first use.
 """
 from __future__ import annotations
 
@@ -29,20 +29,21 @@ import numpy as np
 
 from .tensor import (
     DEFAULT_DENSE_LIMIT,
+    KronTerm,
     Permutation,
     StructuredOperator,
     _apply_owned,
+    _assemble,
     _check_dense_limit,
     _check_states,
-    apply_structured,
+    _frozen_complex,
+    _Kernel,
     basis_projector,
     digit_reversal,
-    embed_term,
     reverse_digits,
-    single_site_operator,
     unitarity_residual,
 )
-from .spectral import _dft_roots, _dft_rows, fourier_gate, omega_diag, r_gate_power
+from .spectral import _dft_roots, _dft_rows, _phase_gate, fourier_gate, omega_diag
 
 FFT = "fft"
 QFT = "qft"
@@ -60,8 +61,26 @@ class PlanFormatError(ValueError):
     """A serialized plan document is malformed."""
 
 
+class _Step:
+    """A step record lists its terms' stored ``(site, matrix)`` pairs in ``_pairs``;
+    its ``kernel(n, d)`` is ``_compile(operator(n, d))`` bit for bit, built untested."""
+
+    def _terms(self, n: int, d: int) -> list[tuple[complex, list]]:
+        sites = self.sites(n)
+        if not sites or len(set(sites)) < len(sites) or min(sites) < 0 or max(sites) >= n:
+            raise ValueError(f"{self!r} does not fit on {n} sites")
+        return [(1 + 0j, pairs) for pairs in self._pairs(n, d)]
+
+    def operator(self, n: int, d: int) -> StructuredOperator:
+        """The step as an operator with untested terms and ``kernel(n, d)`` as its kernel."""
+        terms = tuple(KronTerm._trusted(n, d, pairs) for _, pairs in self._terms(n, d))
+        op = StructuredOperator(n, d, terms, self.label(n))
+        op.__dict__["_source"] = functools.partial(self.kernel, n, d)
+        return op
+
+
 @dataclass(frozen=True)
-class ButterflyStep:
+class ButterflyStep(_Step):
     """Radix-d FFT stage ``stage``: acts on the trailing ``stage + 1`` sites."""
 
     stage: int
@@ -78,27 +97,28 @@ class ButterflyStep:
     def term_count(self, d: int) -> int:
         return d
 
-    def operator(self, n: int, d: int) -> StructuredOperator:
+    def _pairs(self, n: int, d: int) -> list:
         """Identity on the leading sites, then the full radix block.
 
         The block merges the twiddle diagonal with the Fourier gate via the
         mixed-product identity, giving d Kronecker terms whose row supports
         are disjoint (two nonzeros per row when d = 2).
         """
-        if not 0 <= self.stage < n:
-            raise ValueError(f"stage {self.stage} out of range for {n} sites")
         lead = n - 1 - self.stage  # 0-based site of the Fourier gate
         terms = []
         for level in range(d):
-            sites = {lead: basis_projector(level, d) @ fourier_gate(d)}
-            for i in range(1, self.stage + 1):
-                sites[lead + i] = r_gate_power(i + 1, d, level)
-            terms.append(embed_term(n, d, sites))
-        return StructuredOperator(n, d, tuple(terms), label=self.label(n))
+            fourier = _frozen_complex(basis_projector(level, d) @ fourier_gate(d))
+            phases = ((lead + i, _phase_gate(i + 1, d, level)) for i in range(1, self.stage + 1))
+            terms.append([(lead, fourier)] + [(i, r) for i, r in phases if r is not None])
+        return terms
+
+    def kernel(self, n: int, d: int) -> _Kernel:
+        # Term ``level`` owns row ``level`` on the Fourier site.
+        return _assemble(n, d, n - 1 - self.stage, self._terms(n, d), list(np.eye(d, dtype=bool)))
 
 
 @dataclass(frozen=True)
-class FourierStep:
+class FourierStep(_Step):
     """The d x d Fourier gate on one site (0-based)."""
 
     site: int
@@ -115,12 +135,15 @@ class FourierStep:
     def term_count(self, d: int) -> int:
         return 1
 
-    def operator(self, n: int, d: int) -> StructuredOperator:
-        return single_site_operator(n, d, self.site, fourier_gate(d), label=self.label(n))
+    def _pairs(self, n: int, d: int) -> list:
+        return [[(self.site, fourier_gate(d))]]
+
+    def kernel(self, n: int, d: int) -> _Kernel:
+        return _assemble(n, d, self.site, self._terms(n, d), [np.ones(d, dtype=bool)])
 
 
 @dataclass(frozen=True)
-class CPhaseStep:
+class CPhaseStep(_Step):
     """Controlled phase: sum over l of ``E_l`` on ``control`` with ``R_level**l`` on ``target``."""
 
     control: int
@@ -141,14 +164,16 @@ class CPhaseStep:
     def term_count(self, d: int) -> int:
         return d
 
-    def operator(self, n: int, d: int) -> StructuredOperator:
+    def _pairs(self, n: int, d: int) -> list:
         """Projectors on ``control``, R powers on ``target``: one term per control level."""
-        phases = [r_gate_power(self.level, d, ell) for ell in range(d)]
-        terms = tuple(
-            embed_term(n, d, {self.control: basis_projector(ell, d), self.target: phase})
-            for ell, phase in enumerate(phases)
-        )
-        return StructuredOperator(n, d, terms, label=self.label(n))
+        terms = [[(self.control, basis_projector(ell, d))] for ell in range(d)]
+        for ell, pairs in enumerate(terms):
+            if (phase := _phase_gate(self.level, d, ell)) is not None:
+                pairs.insert(self.target > self.control, (self.target, phase))  # site order
+        return terms
+
+    def kernel(self, n: int, d: int) -> _Kernel:
+        return _assemble(n, d, None, self._terms(n, d))
 
 
 PlanStep = ButterflyStep | FourierStep | CPhaseStep
@@ -177,9 +202,26 @@ class FactorizationPlan:
     def factors(self) -> tuple[StructuredOperator, ...]:
         """The steps as structured operators, built on first access and kept.
 
-        Building, serialising and lowering a plan never touch them.
+        Building, serialising, lowering and dense application never touch them.
         """
         return tuple(s.operator(self.n, self.d) for s in self.steps)
+
+    @functools.cached_property
+    def kernels(self) -> tuple[_Kernel, ...]:
+        """The steps' kernels, built on first use and kept; those of ``factors`` if built first."""
+        return tuple(self._each_kernel())
+
+    def _each_kernel(self):
+        # Each built just before it runs (all ahead cost certify 16 MiB of peak RSS).
+        if "kernels" in self.__dict__:
+            yield from self.kernels
+            return
+        built = []
+        for i, step in enumerate(self.steps):
+            factors = self.__dict__.get("factors")
+            built.append(step.kernel(self.n, self.d) if factors is None else factors[i]._kernel)
+            yield built[-1]
+        self.__dict__["kernels"] = tuple(built)
 
     @property
     def reversal(self) -> Permutation:
@@ -300,14 +342,14 @@ def decomposition_product(
 def plan_product(plan: FactorizationPlan, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Dense matrix of ``reversal @ factors[-1] @ ... @ factors[0]``.
 
-    Evaluated by structured application of each stored factor to the columns
-    of the identity, never by dense matrix-matrix products.  Diagonal factors
+    Evaluated by applying each step's kernel to the columns of the identity,
+    never by dense matrix-matrix products.  Diagonal factors
     scale the work array in place, so at most two N x N arrays are alive.
     """
     _check_dense_limit(plan.dim, dense_limit)
     out = np.eye(plan.dim, dtype=complex)
-    for f in plan.factors:
-        out = _apply_owned(f, out)
+    for kernel in plan._each_kernel():
+        out = kernel.apply(out, owned=True)
     return reverse_digits(out, plan.n, plan.d)
 
 
@@ -355,9 +397,9 @@ def fft_apply(plan: FactorizationPlan, x: np.ndarray, inverse: bool = False) -> 
     x = np.asarray(x, dtype=complex)
     _check_states(x, plan.dim, "plan")
     work = np.conj(x) if inverse else x
-    for f in plan.factors:
+    for kernel in plan._each_kernel():
         # The caller's array is never written; every later one is ours.
-        work = apply_structured(f, work) if work is x else _apply_owned(f, work)
+        work = kernel.apply(work, owned=work is not x)
     work = reverse_digits(work, plan.n, plan.d)
     return np.conj(work, out=work) if inverse else work
 

@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 
-from .tensor import DEFAULT_DENSE_LIMIT, _check_dense_limit, _frozen_complex
+from .tensor import DEFAULT_DENSE_LIMIT, _check_dense_limit, _frozen_complex, _is_identity
 
 
 def omega(modulus: int, power: int = 1) -> complex:
@@ -90,6 +90,13 @@ def r_gate_power(level: int, d: int = 2, exponent: int = 1) -> np.ndarray:
     modulus = d**level
     fractions = [(m * exponent) % modulus / modulus for m in range(d)]
     return _frozen_complex(np.diag(np.exp(-2j * np.pi * np.array(fractions))))
+
+
+@functools.lru_cache(maxsize=4096)
+def _phase_gate(level: int, d: int, exponent: int) -> np.ndarray | None:
+    """``r_gate_power``, or None where it equals the identity; tested once per gate."""
+    gate = r_gate_power(level, d, exponent)
+    return None if _is_identity(gate) else gate
 
 
 @functools.lru_cache(maxsize=16)

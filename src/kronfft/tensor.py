@@ -131,6 +131,13 @@ class KronTerm:
         term._set(coefficient, n, d, pairs)
         return term
 
+    @classmethod
+    def _trusted(cls, n: int, d: int, pairs) -> "KronTerm":
+        """Unit term from read-only, non-identity pairs in site order, untested."""
+        term = object.__new__(cls)
+        term.__dict__.update(coefficient=1 + 0j, n_sites=n, local_dim=d, site_matrices=tuple(pairs))
+        return term
+
     def _set(self, coefficient, n, d, pairs) -> None:
         # Each distinct matrix object is frozen and checked once; a shared
         # one may sit on several sites.  Entries hold ``f`` so its id stays
@@ -199,9 +206,9 @@ class StructuredOperator:
 
     @functools.cached_property
     def _kernel(self) -> _Kernel | None:
-        # Compiled on the first dense apply and kept for the operator's
-        # lifetime; None when the operator is applied term by term.
-        return _compile(self)
+        # Built on first dense use and kept; None means applied term by term.
+        source = self.__dict__.get("_source")
+        return source() if source else _compile(self)
 
 
 def embed_term(
@@ -285,14 +292,6 @@ def _check_states(x: np.ndarray, dim: int, what: str) -> None:
 _SHORT_REST = 16
 
 
-def _contract(m: np.ndarray, view: np.ndarray) -> np.ndarray:
-    """``m`` applied to the middle axis of a ``(left, d, rest)`` view, as a new
-    array: one batched ``np.matmul``.  Only trailing extents past
-    ``_SHORT_REST`` come here; a kernel multiplies shorter ones by its block.
-    """
-    return np.matmul(m, view)
-
-
 @dataclass(frozen=True, eq=False)
 class _Kernel:
     """A structured operator as one site contraction and one diagonal multiply.
@@ -323,22 +322,27 @@ class _Kernel:
     diagonal: np.ndarray | None
     block: np.ndarray | None
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Apply to a contiguous ``(N, m)`` array, returning a new array."""
+    def apply(self, x: np.ndarray, owned: bool = False) -> np.ndarray:
+        """Apply to a complex ``(N,)`` or ``(N, m)`` array, as a new array.  With no
+        matrix, an ``owned`` array (one nothing else reads) is scaled in place
+        instead, through a view that splits the leading axis."""
+        m = x.size // len(x)
         if self.matrix is None:
-            return self.scale(x.copy())
+            out = x if owned else x.copy()
+            self.scale(out.reshape(len(x), m))
+            return out
         d = self.matrix.shape[0]
         left = d**self.site
         rest = x.size // (left * d)
+        flat = np.ascontiguousarray(x).reshape(left, d * rest)
         if rest > _SHORT_REST:
-            out = _contract(self.matrix, x.reshape(left, d, rest))
+            out = np.matmul(self.matrix, flat.reshape(left, d, rest))
         elif self.block is None:
-            out = x.reshape(left, d * rest) @ np.kron(self.matrix.T, identity(rest))
+            out = flat @ np.kron(self.matrix.T, identity(rest))
         else:
-            m = x.shape[1]
             block = self.block if m == 1 else np.kron(self.block, identity(m))
-            return (x.reshape(left, d * rest) @ block).reshape(x.shape)
-        return self.scale(out.reshape(x.shape))
+            return (flat @ block).reshape(x.shape)
+        return self.scale(out.reshape(len(x), m)).reshape(x.shape)
 
     def scale(self, x: np.ndarray) -> np.ndarray:
         """Multiply an ``(N, m)`` array by the diagonal, in place."""
@@ -348,31 +352,18 @@ class _Kernel:
 
 
 def _apply_owned(op: StructuredOperator, work: np.ndarray) -> np.ndarray:
-    """``apply_structured(op, work)`` for a ``work`` array the caller owns.
-
-    ``work`` is a complex array of shape ``(op.dim,)`` or ``(op.dim, m)``
-    that nothing else reads.  An operator compiled to a diagonal alone
-    (every controlled phase) scales its box of ``work`` in place, through a
-    view that only splits the leading axis, and returns ``work``, with the
-    same arithmetic as ``apply_structured``.  Any other operator returns a
-    new array.
-    """
-    kernel = op._kernel
-    if kernel is None or kernel.matrix is not None:
-        return apply_structured(op, work)
-    kernel.scale(work.reshape(op.dim, work.size // op.dim))
-    return work
+    """``apply_structured(op, work)`` for a ``work`` array nothing else reads."""
+    return apply_structured(op, work) if op._kernel is None else op._kernel.apply(work, owned=True)
 
 
-def _box(diag: np.ndarray) -> tuple[slice, ...]:
-    """Per axis of ``diag``, the smallest slice outside which every entry is 1."""
+def _box(off: np.ndarray) -> tuple[slice, ...]:
+    """Per axis of the boolean array ``off``, the smallest slice holding every True entry."""
     box = []
-    for axis, size in enumerate(diag.shape):
+    for axis, size in enumerate(off.shape):
         if size == 1:
             box.append(slice(None))
             continue
-        others = tuple(a for a in range(diag.ndim) if a != axis)
-        hit = np.flatnonzero(np.any(diag != 1, axis=others))
+        hit = off.swapaxes(0, axis).reshape(size, -1).any(axis=1).nonzero()[0]
         box.append(slice(hit[0], hit[-1] + 1))
     return tuple(box)
 
@@ -381,55 +372,73 @@ def _compile(op: StructuredOperator) -> _Kernel | None:
     """Reduce an operator to a ``_Kernel``, or ``None`` when it has no such form.
 
     Exact tests only: every non-identity factor is diagonal except on at most
-    one site, and the terms' matrices on that site have disjoint nonzero rows.
-    Then ``sum_t c_t A_t (x) D_t`` equals ``M = sum_t c_t A_t`` on the site
-    followed by the diagonal whose row-r slice is the ``D_t`` of the term
-    owning row r.
+    one site, and the terms' matrices on that site have disjoint nonzero
+    rows.  Plan steps know their form and call ``_assemble`` directly.
     """
-    n, d = op.n_sites, op.local_dim
+    d = op.local_dim
+    terms = [(t.coefficient, t.site_matrices) for t in op.terms]
     dense = {i for t in op.terms for i, f in t.site_matrices if not _is_diagonal(f)}
     if len(dense) > 1:
         return None
-    support = sorted({i for t in op.terms for i, _ in t.site_matrices})
+    if not dense:
+        return _assemble(op.n_sites, d, None, terms)
+    (site,) = dense
+    rows = [np.any(t.factor(site) != 0, axis=1) for t in op.terms]
+    if np.any(np.sum(rows, axis=0) > 1):
+        return None
+    return _assemble(op.n_sites, d, site, terms, rows)
 
-    def diagonals(t: KronTerm, sites) -> np.ndarray:
-        out = np.ones(1, dtype=complex)
+
+def _assemble(n: int, d: int, site: int | None, terms, rows=None) -> _Kernel:
+    """The untested ``_Kernel`` of ``sum_t c_t (x)_i f_ti``, ``terms`` being
+    ``(c_t, ((i, f_ti), ...))``.  Every ``f_ti`` off ``site`` (everywhere, if
+    ``site`` is None) is diagonal and ``f_t,site`` is nonzero only in the rows
+    ``rows[t]``, disjoint masks: so the operator is ``M = sum_t c_t f_t,site``
+    then the diagonal whose row-r slice is ``(x)_i f_ti`` of the owner of r."""
+    terms = [(c, dict(pairs)) for c, pairs in terms]
+    support = sorted(set().union(*(t for _, t in terms)))
+
+    def diagonals(t: dict, sites) -> np.ndarray:
+        # Entry (..., k) is out[...] * f[k, k] as in np.kron, one k at a time.
+        out = np.ones((), dtype=complex)
         for i in sites:
-            out = np.kron(out, np.diagonal(t.factor(i)))
-        return out.reshape((d,) * len(sites))
+            f = t.get(i, identity(d)).diagonal()
+            out, prev = np.empty(out.shape + (d,), dtype=complex), out
+            for k in range(d):
+                np.multiply(prev, f[k], out=out[..., k])
+        return out
 
-    if dense:
-        (site,) = dense
-        rows = [np.any(t.factor(site) != 0, axis=1) for t in op.terms]
-        if np.any(np.sum(rows, axis=0) > 1):
-            return None
-        matrix = sum(t.coefficient * t.factor(site) for t in op.terms)
+    if site is None:
+        site, matrix = 0, None
+        diag = np.zeros((d,) * len(support), dtype=complex)
+        for c, t in terms:
+            diag += c * diagonals(t, support)
+    else:
+        matrix = sum(c * t.get(site, identity(d)) for c, t in terms)
         diag = np.ones((d,) * len(support), dtype=complex)
         by_row = np.moveaxis(diag, support.index(site), 0)
         others = [i for i in support if i != site]
-        for t, mask in zip(op.terms, rows):
-            by_row[mask] = diagonals(t, others)
-    else:
-        site, matrix = 0, None
-        diag = np.zeros((d,) * len(support), dtype=complex)
-        for t in op.terms:
-            diag += t.coefficient * diagonals(t, support)
+        for (_, t), mask in zip(terms, rows):
+            if any(i in t for i in others):  # otherwise its rows stay exactly 1
+                by_row[mask] = diagonals(t, others)
 
     block = None
     rest = d ** (n - site - 1)
     if matrix is not None and rest <= _SHORT_REST and support[0] == site:
-        # Row r of M (x) I_rest scaled by the diagonal's entry r over the
-        # contraction site and the later ones.
+        # Row r of M (x) I_rest, formed as np.kron does, scaled by the
+        # diagonal's entry r over the contraction site and the later ones.
         later = tuple(d if i in support else 1 for i in range(site, n))
         twiddles = np.broadcast_to(diag.reshape(later), (d,) * (n - site)).reshape(-1, 1)
-        block = np.ascontiguousarray((twiddles * np.kron(matrix, identity(rest))).T)
+        spread = np.multiply(matrix[:, None, :, None], identity(rest)[None, :, None, :])
+        block = np.ascontiguousarray((twiddles * spread.reshape(d * rest, d * rest)).T)
     runs = [(inside, len(list(g))) for inside, g in itertools.groupby(i in support for i in range(n))]
     grouping = tuple(d**k for _, k in runs)
-    if np.all(diag == 1):
+    off = diag != 1
+    if not off.any():
         return _Kernel(site, matrix, grouping, (), None, block)
-    diag = diag.reshape(tuple(d**k if inside else 1 for inside, k in runs) + (1,))
-    box = _box(diag)
-    return _Kernel(site, matrix, grouping, box, diag[box], block)
+    shape = tuple(d**k if inside else 1 for inside, k in runs) + (1,)
+    box = _box(off.reshape(shape))
+    return _Kernel(site, matrix, grouping, box, diag.reshape(shape)[box], block)
 
 
 def apply_structured(op: StructuredOperator, x: np.ndarray) -> np.ndarray:
@@ -441,14 +450,14 @@ def apply_structured(op: StructuredOperator, x: np.ndarray) -> np.ndarray:
 
     On its first call an operator is compiled, where its structure allows,
     into one contraction on a single site plus one diagonal multiply; the
-    compiled form is kept on the operator.  Other operators are applied term
-    by term.
+    compiled form is kept on the operator.  A plan step's operator takes the
+    step's own kernel instead.  Other operators are applied term by term.
     """
     x = np.ascontiguousarray(x, dtype=complex)
     _check_states(x, op.dim, "operator")
     kernel = op._kernel
     if kernel is not None:
-        return kernel.apply(x.reshape(op.dim, x.size // op.dim)).reshape(x.shape)
+        return kernel.apply(x)
     flat = x.reshape(-1)
     acc = None
     for t in op.terms:

@@ -258,6 +258,19 @@ class TestSimulate:
         assert code == EXIT_FAIL
         assert "out of range" in err
 
+    def test_check_past_dense_limit_writes_nothing(self, capsys, tmp_path):
+        # The limit is checked before the transform, not after its output.
+        out_file = tmp_path / "y.txt"
+        code, out, err = run(capsys, "simulate", "--kind", "fft", "--n", "13", "--check")
+        assert code == EXIT_LIMIT and out == "" and "dense limit" in err
+        code, out, _ = run(
+            capsys, "simulate", "--n", "13", "--check", "--output", str(out_file)
+        )
+        assert code == EXIT_LIMIT and out == "" and not out_file.exists()
+        # Without --check the transform itself has no dense limit.
+        code, out, _ = run(capsys, "simulate", "--kind", "fft", "--n", "13")
+        assert code == EXIT_OK and len(out.splitlines()) == 2**13
+
 
 class TestRankGrowth:
     def test_csv_schema_and_residual_diagnostic(self, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kronfft import cpstate
 from kronfft import (
     CONTROL_FIRST,
     TARGET_FIRST,
@@ -335,6 +336,21 @@ class TestQftRankExperiment:
     def test_state_mismatch(self):
         with pytest.raises(ValueError):
             qft_rank_experiment(3, 2, cp_basis_state([0, 0], 2))
+
+    def test_factors_build_no_dense_kernel(self, monkeypatch):
+        # The CP engine applies each factor's terms; no dense kernel is built.
+        plans = []
+
+        def build(*args):
+            plans.append(real(*args))
+            return plans[-1]
+
+        real = cpstate.qft_plan
+        monkeypatch.setattr(cpstate, "qft_plan", build)
+        qft_rank_experiment(4, 3, random_rank_one(4, 3, seed=2))
+        (plan,) = plans
+        assert plan.factors and all("_kernel" not in f.__dict__ for f in plan.factors)
+        assert "kernels" not in plan.__dict__
 
 
 class TestGenericInputs:

@@ -13,6 +13,7 @@ from kronfft import (
     FourierStep,
     Gate,
     GateCounts,
+    KronTerm,
     PlanFormatError,
     apply_structured,
     basis_projector,
@@ -514,6 +515,24 @@ class TestStoredSites:
         # residual is taken without expanding the factor.
         for f in fft_plan(n, 2).factors:
             assert unitarity_residual(f) <= 1e-12, f.label
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: fft_plan(5, 2), lambda: fft_plan(3, 5), lambda: qft_plan(4, 3, CONTROL_FIRST),
+         lambda: qft_plan(5, 2)],
+    )
+    def test_step_terms_pass_the_exact_identity_test(self, make):
+        # Step operators skip the per-term identity test; rebuilding each term
+        # from all its factors with that test keeps the same stored matrices.
+        plan = make()
+        for op in plan.factors:
+            for t in op.terms:
+                again = KronTerm(t.coefficient, t.factors)
+                assert [i for i, _ in again.site_matrices] == [i for i, _ in t.site_matrices]
+                assert all(
+                    a.tobytes() == b.tobytes()
+                    for (_, a), (_, b) in zip(again.site_matrices, t.site_matrices)
+                )
 
     def test_high_level_cphase_stores_only_control_projectors(self):
         # R_1100 and all its powers equal the identity at d = 2.

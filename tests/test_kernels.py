@@ -1,6 +1,7 @@
 """Compiled structured kernels, the transpose digit reversal and the input
 shape contract, checked against dense expansion, ``numpy.fft`` and the
 term-by-term definitions."""
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronfft import (
+    CPhaseStep,
     Circuit,
     DiagonalDecomposition,
     Gate,
@@ -25,15 +27,18 @@ from kronfft import (
     fft_apply,
     fft_plan,
     gate_unitary,
+    lower_to_circuit,
     plan_from_json,
     plan_product,
     plan_to_json,
     qft_plan,
     simulate_dense,
     single_site_operator,
+    verify_plan,
 )
+from kronfft import tensor
 from kronfft.spectral import fourier_gate
-from kronfft.tensor import _SHORT_REST
+from kronfft.tensor import _SHORT_REST, _compile
 
 #: Operator shapes that compile to one contraction plus one diagonal.
 COMPILED = ("single-dense", "butterfly", "diagonal")
@@ -372,3 +377,80 @@ class TestOwnedArrays:
         assert writable.tobytes() == before
         unitary = circuit_unitary(c)
         assert unitary.tobytes() == _gate_chain(c, np.eye(d**n, dtype=complex)).tobytes()
+
+
+def _same_array(a, b):
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_kernel(kernel, compiled, label):
+    """Every field equal, arrays bit for bit."""
+    for field in dataclasses.fields(kernel):
+        a, b = getattr(kernel, field.name), getattr(compiled, field.name)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            assert _same_array(a, b), (label, field.name)
+        else:
+            assert a == b, (label, field.name)
+
+
+def _fresh_plans():
+    doc = json.loads(plan_to_json(qft_plan(4, 3)))
+    doc["factors"] = doc["factors"][1:] + doc["factors"][:1]
+    return (fft_plan(5, 3), fft_plan(6, 2), qft_plan(6, 2, "control-first"),
+            plan_from_json(json.dumps(doc)))
+
+
+class TestStepKernels:
+    """Plan steps build their own kernels, bit for bit the ones ``_compile``
+    recovers from the steps' operators, and dense application of a plan
+    builds no operator."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_step_kernel_equals_compiled_operator(self, n, d):
+        plans = (fft_plan(n, d), qft_plan(n, d, "control-first"), qft_plan(n, d, "target-first"))
+        for plan in plans:
+            for step in plan.steps:
+                _assert_same_kernel(step.kernel(n, d), _compile(step.operator(n, d)), step)
+
+    def test_loaded_plan_with_phase_free_cphase(self):
+        # R_1100 and its powers equal the identity at d = 2, so that step's
+        # operator stores only projectors and its kernel scales nothing.
+        doc = json.loads(plan_to_json(qft_plan(4, 2)))
+        next(f for f in doc["factors"] if f["op"] == "cphase")["level"] = 1100
+        plan = plan_from_json(json.dumps(doc))
+        for step in plan.steps:
+            _assert_same_kernel(step.kernel(4, 2), _compile(step.operator(4, 2)), step)
+        (high,) = [s for s in plan.steps if isinstance(s, CPhaseStep) and s.level == 1100]
+        assert high.kernel(4, 2).diagonal is None
+
+    def test_dense_application_never_compiles(self, monkeypatch):
+        def refuse(op):
+            raise AssertionError(f"compiled {op.label!r}")
+
+        monkeypatch.setattr(tensor, "_compile", refuse)
+        for plan in _fresh_plans():
+            rng = np.random.default_rng(plan.dim)
+            x = rng.standard_normal((plan.dim, 2)) + 1j * rng.standard_normal((plan.dim, 2))
+            fft_apply(plan, x)
+            fft_apply(plan, x[:, 0], inverse=True)
+            plan_product(plan)
+            verify_plan(plan, unitarity=False)
+            assert "factors" not in plan.__dict__
+            if plan.kind == "qft":
+                # Lowered gates are the steps' operators, and swaps are transposes.
+                circuit_unitary(lower_to_circuit(plan))
+
+    def test_dense_application_matches_factor_chain(self):
+        for plan in _fresh_plans():
+            first = plan_product(plan)
+            reference = plan.reversal.apply(_chain(plan.factors, np.eye(plan.dim, dtype=complex)))
+            assert first.tobytes() == reference.tobytes()
+
+    def test_kernels_shared_with_built_factors(self):
+        plan = qft_plan(3, 3)
+        factors = plan.factors
+        assert all("_kernel" not in f.__dict__ for f in factors)
+        assert all(k is f._kernel for k, f in zip(plan.kernels, factors))
