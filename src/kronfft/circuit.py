@@ -18,7 +18,7 @@ from .tensor import (
     StructuredOperator,
     _apply_owned,
     _check_dense_limit,
-    apply_structured,
+    _check_states,
     basis_projector,
     embed_term,
     single_site_operator,
@@ -220,16 +220,14 @@ def simulate_dense(
     """
     _check_dense_limit(c.dim, dense_limit)
     x = np.asarray(x, dtype=complex)
-    if x.shape[0] != c.dim:
-        raise ValueError(f"vector length {x.shape[0]} does not match circuit dimension {c.dim}")
+    _check_states(x, c.dim, "circuit")
     owned = False
     for g in c.gates:
         if g.kind == SWAP:
             digits = x.reshape((c.d,) * c.n + x.shape[1:])
             x = digits.swapaxes(g.target, g.control).reshape(x.shape)
         else:
-            op = gate_unitary(g, c.n, c.d)
-            x = _apply_owned(op, x) if owned else apply_structured(op, x)
+            x = _apply_owned(gate_unitary(g, c.n, c.d), x, owned)
             owned = True
     return x
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .tensor import DEFAULT_DENSE_LIMIT, DenseLimitError
-from .spectral import dft_matrix
+from .spectral import _dft_product
 from . import factorize
 from .factorize import (
     FactorizationPlan,
@@ -254,7 +254,7 @@ def cmd_simulate(args) -> int:
     if x.shape[0] != plan.dim:
         raise ValueError(f"input length {x.shape[0]} does not match d**n = {plan.dim}")
     if args.check:  # before any output, so a check past the dense limit writes nothing
-        oracle = dft_matrix(plan.dim, inverse=args.inverse, dense_limit=limit) @ x
+        oracle = _dft_product(x, inverse=args.inverse, dense_limit=limit)
     y = fft_apply(plan, x, inverse=args.inverse)
     _emit(_format_vector(y, args.format), args.output)
     if args.check:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import DEFAULT_DENSE_LIMIT, StructuredOperator, _check_dense_limit
-from .spectral import dft_matrix
+from .spectral import _dft_product
 from .factorize import (
     CONTROL_FIRST,
     TARGET_FIRST,
@@ -401,9 +401,7 @@ def qft_rank_experiment(
     if (state.n, state.d) != (n, d):
         raise ValueError("state does not match the requested site structure")
     _check_dense_limit(state.dim, dense_limit)
-    expected = dft_matrix(state.dim, dense_limit=dense_limit) @ cp_to_dense(
-        state, dense_limit=dense_limit
-    )
+    expected = _dft_product(cp_to_dense(state, dense_limit=dense_limit))
     plan = qft_plan(n, d, orientation)
     steps = []
     for i, f in enumerate(plan.factors):

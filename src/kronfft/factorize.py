@@ -16,8 +16,8 @@ later site (``"target-first"``).
 
 A plan is stored as a tuple of step records (``ButterflyStep``,
 ``FourierStep``, ``CPhaseStep``).  Serialisation and lowering read the
-records; each builds its dense kernel (``FactorizationPlan.kernels``, which
-dense application runs) and its operator (``.factors``) on first use.
+records; dense application builds their operators (``.factors``) on first
+use, each with the kernel form its step declares.
 """
 from __future__ import annotations
 
@@ -33,17 +33,15 @@ from .tensor import (
     Permutation,
     StructuredOperator,
     _apply_owned,
-    _assemble,
     _check_dense_limit,
     _check_states,
     _frozen_complex,
-    _Kernel,
     basis_projector,
     digit_reversal,
     reverse_digits,
     unitarity_residual,
 )
-from .spectral import _dft_roots, _dft_rows, _phase_gate, fourier_gate, omega_diag
+from .spectral import _dft_blocks, _phase_gate, fourier_gate, omega_diag
 
 FFT = "fft"
 QFT = "qft"
@@ -53,29 +51,23 @@ ORIENTATIONS = (CONTROL_FIRST, TARGET_FIRST)
 
 PLAN_SCHEMA_VERSION = 1
 
-#: Rows of the DFT oracle that ``verify_plan`` gathers and compares at once.
-_ORACLE_ROWS = 64
-
 
 class PlanFormatError(ValueError):
     """A serialized plan document is malformed."""
 
 
 class _Step:
-    """A step record lists its terms' stored ``(site, matrix)`` pairs in ``_pairs``;
-    its ``kernel(n, d)`` is ``_compile(operator(n, d))`` bit for bit, built untested."""
+    """A step record lists its terms' stored ``(site, matrix)`` pairs in ``_pairs``
+    and declares, in ``_form``, the ``(site, rows)`` that ``_compile`` would find."""
 
-    def _terms(self, n: int, d: int) -> list[tuple[complex, list]]:
+    def operator(self, n: int, d: int) -> StructuredOperator:
+        """The step as an operator with untested terms and its declared kernel form."""
         sites = self.sites(n)
         if not sites or len(set(sites)) < len(sites) or min(sites) < 0 or max(sites) >= n:
             raise ValueError(f"{self!r} does not fit on {n} sites")
-        return [(1 + 0j, pairs) for pairs in self._pairs(n, d)]
-
-    def operator(self, n: int, d: int) -> StructuredOperator:
-        """The step as an operator with untested terms and ``kernel(n, d)`` as its kernel."""
-        terms = tuple(KronTerm._trusted(n, d, pairs) for _, pairs in self._terms(n, d))
+        terms = tuple(KronTerm._trusted(n, d, pairs) for pairs in self._pairs(n, d))
         op = StructuredOperator(n, d, terms, self.label(n))
-        op.__dict__["_source"] = functools.partial(self.kernel, n, d)
+        op.__dict__["_form"] = self._form(n, d)
         return op
 
 
@@ -112,9 +104,9 @@ class ButterflyStep(_Step):
             terms.append([(lead, fourier)] + [(i, r) for i, r in phases if r is not None])
         return terms
 
-    def kernel(self, n: int, d: int) -> _Kernel:
+    def _form(self, n: int, d: int) -> tuple:
         # Term ``level`` owns row ``level`` on the Fourier site.
-        return _assemble(n, d, n - 1 - self.stage, self._terms(n, d), list(np.eye(d, dtype=bool)))
+        return n - 1 - self.stage, list(np.eye(d, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -138,8 +130,8 @@ class FourierStep(_Step):
     def _pairs(self, n: int, d: int) -> list:
         return [[(self.site, fourier_gate(d))]]
 
-    def kernel(self, n: int, d: int) -> _Kernel:
-        return _assemble(n, d, self.site, self._terms(n, d), [np.ones(d, dtype=bool)])
+    def _form(self, n: int, d: int) -> tuple:
+        return self.site, [np.ones(d, dtype=bool)]
 
 
 @dataclass(frozen=True)
@@ -172,8 +164,8 @@ class CPhaseStep(_Step):
                 pairs.insert(self.target > self.control, (self.target, phase))  # site order
         return terms
 
-    def kernel(self, n: int, d: int) -> _Kernel:
-        return _assemble(n, d, None, self._terms(n, d))
+    def _form(self, n: int, d: int) -> tuple:
+        return None, None
 
 
 PlanStep = ButterflyStep | FourierStep | CPhaseStep
@@ -202,26 +194,9 @@ class FactorizationPlan:
     def factors(self) -> tuple[StructuredOperator, ...]:
         """The steps as structured operators, built on first access and kept.
 
-        Building, serialising, lowering and dense application never touch them.
+        Building, serialising and lowering never touch them.
         """
         return tuple(s.operator(self.n, self.d) for s in self.steps)
-
-    @functools.cached_property
-    def kernels(self) -> tuple[_Kernel, ...]:
-        """The steps' kernels, built on first use and kept; those of ``factors`` if built first."""
-        return tuple(self._each_kernel())
-
-    def _each_kernel(self):
-        # Each built just before it runs (all ahead cost certify 16 MiB of peak RSS).
-        if "kernels" in self.__dict__:
-            yield from self.kernels
-            return
-        built = []
-        for i, step in enumerate(self.steps):
-            factors = self.__dict__.get("factors")
-            built.append(step.kernel(self.n, self.d) if factors is None else factors[i]._kernel)
-            yield built[-1]
-        self.__dict__["kernels"] = tuple(built)
 
     @property
     def reversal(self) -> Permutation:
@@ -342,14 +317,14 @@ def decomposition_product(
 def plan_product(plan: FactorizationPlan, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Dense matrix of ``reversal @ factors[-1] @ ... @ factors[0]``.
 
-    Evaluated by applying each step's kernel to the columns of the identity,
+    Evaluated by applying each factor's kernel to the columns of the identity,
     never by dense matrix-matrix products.  Diagonal factors
     scale the work array in place, so at most two N x N arrays are alive.
     """
     _check_dense_limit(plan.dim, dense_limit)
     out = np.eye(plan.dim, dtype=complex)
-    for kernel in plan._each_kernel():
-        out = kernel.apply(out, owned=True)
+    for f in plan.factors:
+        out = _apply_owned(f, out)
     return reverse_digits(out, plan.n, plan.d)
 
 
@@ -362,18 +337,17 @@ def verify_plan(
 
     Returns the max-abs entrywise residual of the plan product against
     ``dft_matrix(d**n)`` together with per-factor unitarity residuals.  The
-    DFT rows are gathered ``_ORACLE_ROWS`` at a time from the same N roots as
-    ``dft_matrix`` and subtracted from the product in place, so the oracle
-    never holds a second N x N array.
+    DFT rows are gathered in blocks from the same N roots as ``dft_matrix``
+    and subtracted from the product in place, so the oracle never holds a
+    second N x N array.
     """
     approx = plan_product(plan, dense_limit=dense_limit)
-    roots = _dft_roots(plan.dim)
     peaks = []
-    for start in range(0, plan.dim, _ORACLE_ROWS):
-        rows = approx[start : start + _ORACLE_ROWS]
-        rows -= _dft_rows(roots, start, start + _ORACLE_ROWS)
+    for start, oracle in _dft_blocks(plan.dim):
+        rows = approx[start : start + len(oracle)]
+        rows -= oracle
         peaks.append(np.max(np.abs(rows)))
-    del approx, rows
+    del approx, rows, oracle
     residual = float(np.max(peaks))
     factor_unitarity = ()
     if unitarity:
@@ -397,9 +371,9 @@ def fft_apply(plan: FactorizationPlan, x: np.ndarray, inverse: bool = False) -> 
     x = np.asarray(x, dtype=complex)
     _check_states(x, plan.dim, "plan")
     work = np.conj(x) if inverse else x
-    for kernel in plan._each_kernel():
+    for f in plan.factors:
         # The caller's array is never written; every later one is ours.
-        work = kernel.apply(work, owned=work is not x)
+        work = _apply_owned(f, work, owned=work is not x)
     work = reverse_digits(work, plan.n, plan.d)
     return np.conj(work, out=work) if inverse else work
 

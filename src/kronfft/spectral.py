@@ -13,6 +13,9 @@ import numpy as np
 
 from .tensor import DEFAULT_DENSE_LIMIT, _check_dense_limit, _frozen_complex, _is_identity
 
+#: Rows of the DFT matrix that a streamed oracle gathers at once.
+_ORACLE_ROWS = 64
+
 
 def omega(modulus: int, power: int = 1) -> complex:
     """Root of unity ``exp(-2*pi*i*power/modulus)``, exponent reduced mod modulus."""
@@ -54,6 +57,22 @@ def _dft_rows(roots: np.ndarray, start: int, stop: int) -> np.ndarray:
     return roots[exps]
 
 
+def _dft_blocks(size: int, inverse: bool = False):
+    """``(start, rows)`` of each ``_ORACLE_ROWS``-row block of the DFT matrix, in order."""
+    roots = _dft_roots(size, inverse)
+    for start in range(0, size, _ORACLE_ROWS):
+        yield start, _dft_rows(roots, start, start + _ORACLE_ROWS)
+
+
+def _dft_product(
+    x: np.ndarray, inverse: bool = False, dense_limit: int = DEFAULT_DENSE_LIMIT
+) -> np.ndarray:
+    """``dft_matrix(len(x), inverse) @ x`` for a vector ``x``, equal bit for bit
+    at a fixed BLAS thread count, with the matrix streamed in row blocks."""
+    _check_dense_limit(len(x), dense_limit)
+    return np.concatenate([rows @ x for _, rows in _dft_blocks(len(x), inverse)])
+
+
 def omega_diag(
     n: int, d: int = 2, power: int = 1, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> np.ndarray:
@@ -87,7 +106,10 @@ def r_gate_power(level: int, d: int = 2, exponent: int = 1) -> np.ndarray:
     """
     if level < 1 or d < 2:
         raise ValueError("r_gate needs level >= 1 and d >= 2")
-    modulus = d**level
+    # Every fraction rounds to 0.0 (1.0 if m * exponent < 0) once d**level >= 2**bits,
+    # so a higher level takes the first such one and d**level stays small.
+    bits = ((d - 1) * abs(exponent)).bit_length() + 1075
+    modulus = d ** min(level, -(-bits // (d.bit_length() - 1)))
     fractions = [(m * exponent) % modulus / modulus for m in range(d)]
     return _frozen_complex(np.diag(np.exp(-2j * np.pi * np.array(fractions))))
 

@@ -207,8 +207,9 @@ class StructuredOperator:
     @functools.cached_property
     def _kernel(self) -> _Kernel | None:
         # Built on first dense use and kept; None means applied term by term.
-        source = self.__dict__.get("_source")
-        return source() if source else _compile(self)
+        # A plan step's operator declares its form ``(site, rows)`` in ``_form``.
+        form = self.__dict__.get("_form")
+        return _compile(self) if form is None else _assemble(self, *form)
 
 
 def embed_term(
@@ -351,11 +352,6 @@ class _Kernel:
         return x
 
 
-def _apply_owned(op: StructuredOperator, work: np.ndarray) -> np.ndarray:
-    """``apply_structured(op, work)`` for a ``work`` array nothing else reads."""
-    return apply_structured(op, work) if op._kernel is None else op._kernel.apply(work, owned=True)
-
-
 def _box(off: np.ndarray) -> tuple[slice, ...]:
     """Per axis of the boolean array ``off``, the smallest slice holding every True entry."""
     box = []
@@ -373,40 +369,34 @@ def _compile(op: StructuredOperator) -> _Kernel | None:
 
     Exact tests only: every non-identity factor is diagonal except on at most
     one site, and the terms' matrices on that site have disjoint nonzero
-    rows.  Plan steps know their form and call ``_assemble`` directly.
+    rows.  Plan steps declare their form and skip these tests.
     """
-    d = op.local_dim
-    terms = [(t.coefficient, t.site_matrices) for t in op.terms]
     dense = {i for t in op.terms for i, f in t.site_matrices if not _is_diagonal(f)}
     if len(dense) > 1:
         return None
     if not dense:
-        return _assemble(op.n_sites, d, None, terms)
+        return _assemble(op)
     (site,) = dense
     rows = [np.any(t.factor(site) != 0, axis=1) for t in op.terms]
     if np.any(np.sum(rows, axis=0) > 1):
         return None
-    return _assemble(op.n_sites, d, site, terms, rows)
+    return _assemble(op, site, rows)
 
 
-def _assemble(n: int, d: int, site: int | None, terms, rows=None) -> _Kernel:
-    """The untested ``_Kernel`` of ``sum_t c_t (x)_i f_ti``, ``terms`` being
-    ``(c_t, ((i, f_ti), ...))``.  Every ``f_ti`` off ``site`` (everywhere, if
-    ``site`` is None) is diagonal and ``f_t,site`` is nonzero only in the rows
-    ``rows[t]``, disjoint masks: so the operator is ``M = sum_t c_t f_t,site``
-    then the diagonal whose row-r slice is ``(x)_i f_ti`` of the owner of r."""
-    terms = [(c, dict(pairs)) for c, pairs in terms]
+def _assemble(op: StructuredOperator, site: int | None = None, rows=None) -> _Kernel:
+    """The untested ``_Kernel`` of ``op = sum_t c_t (x)_i f_ti``.  Every ``f_ti``
+    off ``site`` (everywhere, if ``site`` is None) is diagonal and ``f_t,site``
+    is nonzero only in the rows ``rows[t]``, disjoint masks: so the operator is
+    ``M = sum_t c_t f_t,site`` then the diagonal whose row-r slice is
+    ``(x)_i f_ti`` of the owner of r."""
+    n, d = op.n_sites, op.local_dim
+    terms = [(t.coefficient, dict(t.site_matrices)) for t in op.terms]
     support = sorted(set().union(*(t for _, t in terms)))
 
     def diagonals(t: dict, sites) -> np.ndarray:
-        # Entry (..., k) is out[...] * f[k, k] as in np.kron, one k at a time.
-        out = np.ones((), dtype=complex)
-        for i in sites:
-            f = t.get(i, identity(d)).diagonal()
-            out, prev = np.empty(out.shape + (d,), dtype=complex), out
-            for k in range(d):
-                np.multiply(prev, f[k], out=out[..., k])
-        return out
+        # Entry (..., k) is the product so far times f[k, k], as in np.kron.
+        factors = (t.get(i, identity(d)).diagonal() for i in sites)
+        return functools.reduce(np.multiply.outer, factors, np.ones((), dtype=complex))
 
     if site is None:
         site, matrix = 0, None
@@ -450,22 +440,29 @@ def apply_structured(op: StructuredOperator, x: np.ndarray) -> np.ndarray:
 
     On its first call an operator is compiled, where its structure allows,
     into one contraction on a single site plus one diagonal multiply; the
-    compiled form is kept on the operator.  A plan step's operator takes the
-    step's own kernel instead.  Other operators are applied term by term.
+    compiled form is kept on the operator.  A plan step's operator skips the
+    structure tests and builds the form its step declares.  Other operators
+    are applied term by term.
     """
     x = np.ascontiguousarray(x, dtype=complex)
     _check_states(x, op.dim, "operator")
+    return _apply_owned(op, x, owned=False)
+
+
+def _apply_owned(op: StructuredOperator, work: np.ndarray, owned: bool = True) -> np.ndarray:
+    """``apply_structured(op, work)`` for a complex ``work`` of a valid shape; an
+    ``owned`` one (nothing else reads it) may be scaled in place."""
     kernel = op._kernel
     if kernel is not None:
-        return kernel.apply(x)
-    flat = x.reshape(-1)
+        return kernel.apply(work, owned)
+    flat = work.reshape(-1)
     acc = None
     for t in op.terms:
         contrib = _apply_term(t, flat, op.local_dim)
         acc = contrib if acc is None else acc + contrib
     if acc is None:
         acc = np.zeros_like(flat)
-    return acc.reshape(x.shape)
+    return acc.reshape(work.shape)
 
 
 def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:

@@ -243,6 +243,13 @@ class TestSimulateDense:
         with pytest.raises(ValueError):
             simulate_dense(Circuit(2), np.zeros(3))
 
+    @pytest.mark.parametrize("gates", [(), (Gate("swap", 0, 1),), (Gate("hadamard", 0),)])
+    @pytest.mark.parametrize("shape", [(), (4, 2, 2)])
+    def test_shape_contract_whatever_the_first_gate(self, gates, shape):
+        # Only (N,) and (N, m) states are accepted, as by fft_apply.
+        with pytest.raises(ValueError, match="expected shape"):
+            simulate_dense(Circuit(2, 2, gates), np.ones(shape))
+
 
 class TestCounts:
     def test_four_wires_three_cnot(self):

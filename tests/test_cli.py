@@ -144,6 +144,18 @@ class TestVerify:
         assert code == EXIT_FAIL
         assert "FAIL" in out
 
+    def test_huge_level_fails(self, capsys, tmp_path):
+        # R at level 10**9 rounds to the identity, so the plan is wrong; the
+        # level loads and is checked without forming 3**level.
+        plan_file = tmp_path / "plan.json"
+        run(capsys, "factor", "--n", "3", "--d", "3", "--format", "json", "--output", str(plan_file))
+        doc = json.loads(plan_file.read_text())
+        next(f for f in doc["factors"] if f["op"] == "cphase")["level"] = 10**9
+        plan_file.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", "--n", "3", "--plan", str(plan_file))
+        assert code == EXIT_FAIL
+        assert "FAIL" in out
+
     def test_unreadable_plan_file(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"
         code, _, err = run(capsys, "verify", "--n", "2", "--plan", str(missing))

@@ -350,7 +350,6 @@ class TestQftRankExperiment:
         qft_rank_experiment(4, 3, random_rank_one(4, 3, seed=2))
         (plan,) = plans
         assert plan.factors and all("_kernel" not in f.__dict__ for f in plan.factors)
-        assert "kernels" not in plan.__dict__
 
 
 class TestGenericInputs:

@@ -403,9 +403,9 @@ def _fresh_plans():
 
 
 class TestStepKernels:
-    """Plan steps build their own kernels, bit for bit the ones ``_compile``
-    recovers from the steps' operators, and dense application of a plan
-    builds no operator."""
+    """A plan step's operator builds the kernel form its step declares, bit
+    for bit the one ``_compile`` recovers from the operator's terms, and
+    dense application never runs the structure tests."""
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("n", range(1, 7))
@@ -413,7 +413,8 @@ class TestStepKernels:
         plans = (fft_plan(n, d), qft_plan(n, d, "control-first"), qft_plan(n, d, "target-first"))
         for plan in plans:
             for step in plan.steps:
-                _assert_same_kernel(step.kernel(n, d), _compile(step.operator(n, d)), step)
+                declared = step.operator(n, d)._kernel
+                _assert_same_kernel(declared, _compile(step.operator(n, d)), step)
 
     def test_loaded_plan_with_phase_free_cphase(self):
         # R_1100 and its powers equal the identity at d = 2, so that step's
@@ -422,9 +423,10 @@ class TestStepKernels:
         next(f for f in doc["factors"] if f["op"] == "cphase")["level"] = 1100
         plan = plan_from_json(json.dumps(doc))
         for step in plan.steps:
-            _assert_same_kernel(step.kernel(4, 2), _compile(step.operator(4, 2)), step)
+            declared = step.operator(4, 2)._kernel
+            _assert_same_kernel(declared, _compile(step.operator(4, 2)), step)
         (high,) = [s for s in plan.steps if isinstance(s, CPhaseStep) and s.level == 1100]
-        assert high.kernel(4, 2).diagonal is None
+        assert high.operator(4, 2)._kernel.diagonal is None
 
     def test_dense_application_never_compiles(self, monkeypatch):
         def refuse(op):
@@ -438,7 +440,6 @@ class TestStepKernels:
             fft_apply(plan, x[:, 0], inverse=True)
             plan_product(plan)
             verify_plan(plan, unitarity=False)
-            assert "factors" not in plan.__dict__
             if plan.kind == "qft":
                 # Lowered gates are the steps' operators, and swaps are transposes.
                 circuit_unitary(lower_to_circuit(plan))
@@ -449,8 +450,20 @@ class TestStepKernels:
             reference = plan.reversal.apply(_chain(plan.factors, np.eye(plan.dim, dtype=complex)))
             assert first.tobytes() == reference.tobytes()
 
-    def test_kernels_shared_with_built_factors(self):
-        plan = qft_plan(3, 3)
-        factors = plan.factors
-        assert all("_kernel" not in f.__dict__ for f in factors)
-        assert all(k is f._kernel for k, f in zip(plan.kernels, factors))
+    def test_second_application_builds_no_kernel(self, monkeypatch):
+        built = []
+
+        def assemble(op, *form):
+            built.append(op.label)
+            return real(op, *form)
+
+        real = tensor._assemble
+        monkeypatch.setattr(tensor, "_assemble", assemble)
+        for plan in _fresh_plans():
+            x = np.arange(plan.dim, dtype=complex)
+            fft_apply(plan, x)
+            assert built == [f.label for f in plan.factors]
+            fft_apply(plan, x, inverse=True)
+            plan_product(plan)
+            assert len(built) == len(plan.steps)
+            built.clear()

@@ -12,6 +12,7 @@ from kronfft import (
     r_gate,
     r_gate_power,
 )
+from kronfft.spectral import _dft_product
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -98,6 +99,19 @@ class TestDftMatrix:
             dft_matrix(size, inverse=True), dft_matrix(size).conj(), atol=1e-15
         )
 
+    @pytest.mark.parametrize("size", [1, 8, 64, 243, 256, 1000, 3125, 4096])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_streamed_product_is_bitwise(self, size, inverse):
+        # Row blocks of 64 give every entry the same products as the whole matrix.
+        rng = np.random.default_rng(size)
+        x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        want = dft_matrix(size, inverse) @ x
+        assert _dft_product(x, inverse).tobytes() == want.tobytes()
+
+    def test_streamed_product_limit(self):
+        with pytest.raises(DenseLimitError):
+            _dft_product(np.ones(9), dense_limit=8)
+
     def test_limits(self):
         with pytest.raises(ValueError):
             dft_matrix(0)
@@ -165,6 +179,23 @@ class TestRGate:
     def test_invalid_level(self):
         with pytest.raises(ValueError):
             r_gate(0, 2)
+
+    @staticmethod
+    def _formula(level, d, exponent):
+        modulus = d**level
+        fractions = [(m * exponent) % modulus / modulus for m in range(d)]
+        return np.diag(np.exp(-2j * np.pi * np.array(fractions)))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_high_levels_match_the_formula(self, d):
+        # Every phase fraction underflows to 0.0 from about level 1075 / log2(d)
+        # on, and past that r_gate_power stops forming d**level; no bit moves.
+        for exponent in range(-d, 2 * d):
+            for level in (*range(1, 400, 9), *range(400, 1200)):
+                got = r_gate_power(level, d, exponent)
+                assert got.tobytes() == self._formula(level, d, exponent).tobytes()
+            huge = r_gate_power(10**9, d, exponent)
+            assert huge.tobytes() == self._formula(1200, d, exponent).tobytes()
 
 
 class TestOmegaKronFactors:
