@@ -401,7 +401,7 @@ def qft_rank_experiment(
     if (state.n, state.d) != (n, d):
         raise ValueError("state does not match the requested site structure")
     _check_dense_limit(state.dim, dense_limit)
-    expected = _dft_product(cp_to_dense(state, dense_limit=dense_limit))
+    expected = _dft_product(cp_to_dense(state, dense_limit=dense_limit), dense_limit=dense_limit)
     plan = qft_plan(n, d, orientation)
     steps = []
     for i, f in enumerate(plan.factors):

@@ -394,9 +394,14 @@ def _assemble(op: StructuredOperator, site: int | None = None, rows=None) -> _Ke
     support = sorted(set().union(*(t for _, t in terms)))
 
     def diagonals(t: dict, sites) -> np.ndarray:
-        # Entry (..., k) is the product so far times f[k, k], as in np.kron.
-        factors = (t.get(i, identity(d)).diagonal() for i in sites)
-        return functools.reduce(np.multiply.outer, factors, np.ones((), dtype=complex))
+        # Entry (..., k) is out[...] * f[k, k] as in np.kron, one k at a time.
+        out = np.ones((), dtype=complex)
+        for i in sites:
+            f = t.get(i, identity(d)).diagonal()
+            out, prev = np.empty(out.shape + (d,), dtype=complex), out
+            for k in range(d):
+                np.multiply(prev, f[k], out=out[..., k])
+        return out
 
     if site is None:
         site, matrix = 0, None

@@ -326,6 +326,14 @@ class TestRankGrowth:
         code, _, _ = run(capsys, "rankgrowth", "--n", "20")
         assert code == EXIT_LIMIT
 
+    def test_raised_dense_limit(self, capsys):
+        # 2^13 is past the default limit; the oracle must use the raised one.
+        code, out, err = run(
+            capsys, "rankgrowth", "--n", "13", "--dense-limit", "8192", "--format", "json"
+        )
+        assert code == EXIT_OK, err
+        assert json.loads(out)["residual"] < 1e-10
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ from kronfft import (
     CONTROL_FIRST,
     TARGET_FIRST,
     CPState,
+    DEFAULT_DENSE_LIMIT,
+    DenseLimitError,
     KronTerm,
     RankOneTerm,
     StructuredOperator,
@@ -336,6 +338,14 @@ class TestQftRankExperiment:
     def test_state_mismatch(self):
         with pytest.raises(ValueError):
             qft_rank_experiment(3, 2, cp_basis_state([0, 0], 2))
+
+    def test_raised_dense_limit(self):
+        # 3^8 = 6561 is past DEFAULT_DENSE_LIMIT, within the caller's limit.
+        assert 3**8 > DEFAULT_DENSE_LIMIT
+        report = qft_rank_experiment(8, 3, random_rank_one(8, 3, seed=2), dense_limit=3**8)
+        assert report.residual < 1e-10
+        with pytest.raises(DenseLimitError):
+            qft_rank_experiment(8, 3, random_rank_one(8, 3, seed=2), dense_limit=3**8 - 1)
 
     def test_factors_build_no_dense_kernel(self, monkeypatch):
         # The CP engine applies each factor's terms; no dense kernel is built.
