@@ -17,7 +17,7 @@ from .tensor import (
     DEFAULT_DENSE_LIMIT,
     StructuredOperator,
     _apply_owned,
-    _check_dense_limit,
+    _check_dense_sites,
     _check_states,
     basis_projector,
     embed_term,
@@ -218,7 +218,7 @@ def simulate_dense(
     caller's ``x`` is never written: once a gate has produced a new state,
     diagonal gates scale that state in place.
     """
-    _check_dense_limit(c.dim, dense_limit)
+    _check_dense_sites(c.n, c.d, dense_limit)
     x = np.asarray(x, dtype=complex)
     _check_states(x, c.dim, "circuit")
     owned = False
@@ -234,7 +234,7 @@ def simulate_dense(
 
 def circuit_unitary(c: Circuit, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Dense unitary of the whole circuit."""
-    _check_dense_limit(c.dim, dense_limit)
+    _check_dense_sites(c.n, c.d, dense_limit)
     return simulate_dense(c, np.eye(c.dim, dtype=complex), dense_limit=dense_limit)
 
 

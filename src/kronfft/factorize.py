@@ -34,6 +34,7 @@ from .tensor import (
     StructuredOperator,
     _apply_owned,
     _check_dense_limit,
+    _check_dense_sites,
     _check_states,
     _frozen_complex,
     basis_projector,
@@ -321,7 +322,7 @@ def plan_product(plan: FactorizationPlan, dense_limit: int = DEFAULT_DENSE_LIMIT
     never by dense matrix-matrix products.  Diagonal factors
     scale the work array in place, so at most two N x N arrays are alive.
     """
-    _check_dense_limit(plan.dim, dense_limit)
+    _check_dense_sites(plan.n, plan.d, dense_limit)
     out = np.eye(plan.dim, dtype=complex)
     for f in plan.factors:
         out = _apply_owned(f, out)

@@ -11,6 +11,7 @@ All values are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from dataclasses import dataclass
@@ -34,6 +35,22 @@ def _check_dense_limit(dim: int, dense_limit: int) -> None:
         raise DenseLimitError(
             f"dimension {dim} exceeds the dense limit {dense_limit}"
         )
+
+
+def _check_dense_sites(n: int, d: int, dense_limit: int) -> None:
+    """``_check_dense_limit(d**n, dense_limit)`` that never forms a huge ``d**n``.
+
+    ``d**n >= 2**(n * (bits(d) - 1))``, so past ``2**65536`` bit lengths decide:
+    that exceeds every finite float and any practical limit.  A dimension too
+    long to print is named as the power.
+    """
+    huge = n * (d.bit_length() - 1) > 1 << 16
+    if huge or d**n > dense_limit:
+        dim = f"{d}**{n}"
+        if not huge:
+            with contextlib.suppress(ValueError):  # more digits than Python prints
+                dim = str(d**n)
+        raise DenseLimitError(f"dimension {dim} exceeds the dense limit {dense_limit}")
 
 
 def _frozen_complex(a) -> np.ndarray:
@@ -239,44 +256,12 @@ def expand(op: StructuredOperator, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np
     return out
 
 
-def _term_site_ops(term: KronTerm) -> list[tuple[str, int, int, np.ndarray]]:
-    """Reduce a term to a minimal op list for structured application.
-
-    Only stored sites are visited, and adjacent diagonal sites are merged into
-    a single combined diagonal, so a term touches the state once per
-    non-identity region instead of once per site.
-    """
-    ops: list[list] = []
-    for i, f in term.site_matrices:
-        if _is_diagonal(f):
-            diag = np.diagonal(f)
-            if ops and ops[-1][0] == "diag" and ops[-1][1] + ops[-1][2] == i:
-                ops[-1][2] += 1
-                ops[-1][3] = np.kron(ops[-1][3], diag)
-            else:
-                ops.append(["diag", i, 1, diag.copy()])
-        else:
-            ops.append(["dense", i, 1, f])
-    return [tuple(o) for o in ops]
-
-
-def _apply_term(term: KronTerm, flat: np.ndarray, d: int) -> np.ndarray:
-    total = flat.size
-    out = flat
-    for kind, site, span, payload in _term_site_ops(term):
-        left = d**site
-        mid = d**span
-        view = out.reshape(left, mid, total // (left * mid))
-        if kind == "diag":
-            out = view * payload[None, :, None]
-        else:
-            out = np.matmul(payload, view)
-        out = out.reshape(total)
-    if out is flat:
-        return term.coefficient * flat
-    if term.coefficient != 1:
-        out *= term.coefficient
-    return out
+def _apply_term(term: KronTerm, x: np.ndarray, d: int) -> np.ndarray:
+    """``term`` applied to a state: each stored site matrix contracted in turn."""
+    out = x
+    for site, f in term.site_matrices:
+        out = np.matmul(f, out.reshape(d**site, d, -1))
+    return term.coefficient * out.reshape(x.shape)
 
 
 def _check_states(x: np.ndarray, dim: int, what: str) -> None:
@@ -288,8 +273,8 @@ def _check_states(x: np.ndarray, dim: int, what: str) -> None:
 
 
 #: Trailing extents (times columns) up to this are applied as one GEMM by a
-#: ``(d*rest)``-square block; a batched ``np.matmul`` would pay its per-batch
-#: overhead on ``(d, d) @ (d, rest)`` products.
+#: kernel's folded ``(d*rest)``-square block; a batched ``np.matmul`` would pay
+#: its per-batch overhead on ``(d, d) @ (d, rest)`` products.
 _SHORT_REST = 16
 
 
@@ -303,17 +288,18 @@ class _Kernel:
     and scales the slice ``box`` of that view by ``diagonal``; the diagonal is
     1 outside the box.  ``diagonal`` is ``None`` when it is 1 everywhere.
 
-    When the trailing extent ``rest`` (later sites times columns) is at most
-    ``_SHORT_REST``, the state is a ``(d**site, d*rest)`` matrix ``X`` and
-    the operator is ``I (x) B`` for ``B = D (M (x) I_rest)``: one GEMM
-    ``X B^T``.  ``block`` holds that ``B^T`` for one column, with the
-    diagonal folded in, when the diagonal depends only on ``site`` and later
-    sites (every butterfly stage; a Fourier gate has none); a batch of ``m``
-    columns multiplies by ``block (x) I_m`` and skips the diagonal pass.
-    Otherwise ``block`` is ``None`` and a short extent multiplies by
-    ``(M (x) I_rest)^T`` and then scales.  The GEMM sums products ``D m_ij
-    x_j``, so an ``inf`` or ``nan`` entry spreads to its whole block, and
-    the last bits differ from scaling after the sum.
+    The contraction is a batched ``np.matmul`` over the trailing extent
+    ``rest`` (later sites times columns), then the diagonal pass.  When the
+    diagonal depends only on ``site`` and later sites (every butterfly
+    stage; a Fourier gate has none), ``block`` holds ``B^T`` for
+    ``B = D (M (x) I_rest)`` at one column, the diagonal folded in.  A
+    trailing extent of at most ``_SHORT_REST`` then views the state as a
+    ``(d**site, d*rest)`` matrix ``X`` and applies ``I (x) B`` as one GEMM
+    ``X B^T`` (by ``block (x) I_m`` for ``m`` columns), with no diagonal
+    pass.  The GEMM sums products ``D m_ij x_j``, so an ``inf`` or ``nan``
+    entry spreads to its whole block, and the last bits differ from scaling
+    after the sum.  Without a block (a diagonal on a site before ``site``,
+    only in user operators) every extent takes the batched ``np.matmul``.
     """
 
     site: int
@@ -335,14 +321,10 @@ class _Kernel:
         d = self.matrix.shape[0]
         left = d**self.site
         rest = x.size // (left * d)
-        flat = np.ascontiguousarray(x).reshape(left, d * rest)
-        if rest > _SHORT_REST:
-            out = np.matmul(self.matrix, flat.reshape(left, d, rest))
-        elif self.block is None:
-            out = flat @ np.kron(self.matrix.T, identity(rest))
-        else:
+        if self.block is not None and rest <= _SHORT_REST:
             block = self.block if m == 1 else np.kron(self.block, identity(m))
-            return (flat @ block).reshape(x.shape)
+            return (x.reshape(left, d * rest) @ block).reshape(x.shape)
+        out = np.matmul(self.matrix, x.reshape(left, d, rest))
         return self.scale(out.reshape(len(x), m)).reshape(x.shape)
 
     def scale(self, x: np.ndarray) -> np.ndarray:
@@ -447,7 +429,7 @@ def apply_structured(op: StructuredOperator, x: np.ndarray) -> np.ndarray:
     into one contraction on a single site plus one diagonal multiply; the
     compiled form is kept on the operator.  A plan step's operator skips the
     structure tests and builds the form its step declares.  Other operators
-    are applied term by term.
+    are applied term by term, each stored site matrix contracted in turn.
     """
     x = np.ascontiguousarray(x, dtype=complex)
     _check_states(x, op.dim, "operator")
@@ -460,14 +442,7 @@ def _apply_owned(op: StructuredOperator, work: np.ndarray, owned: bool = True) -
     kernel = op._kernel
     if kernel is not None:
         return kernel.apply(work, owned)
-    flat = work.reshape(-1)
-    acc = None
-    for t in op.terms:
-        contrib = _apply_term(t, flat, op.local_dim)
-        acc = contrib if acc is None else acc + contrib
-    if acc is None:
-        acc = np.zeros_like(flat)
-    return acc.reshape(work.shape)
+    return functools.reduce(np.add, (_apply_term(t, work, op.local_dim) for t in op.terms))
 
 
 def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
@@ -497,13 +472,11 @@ def adjoint(op: StructuredOperator) -> StructuredOperator:
 
 
 def unitarity_residual(op: StructuredOperator, dense_limit: int = DEFAULT_DENSE_LIMIT) -> float:
-    """Max-abs entry of ``op @ op^H - I``.
+    """Max-abs entry of ``op @ op^H - I``, taken on the Gram operator's stored sites.
 
-    When the Gram operator is diagonal on all but a few of its stored sites
-    (true for every factor produced by the factorization plans) the residual
-    is evaluated on those sites only, over at most as many entries as an
-    ``N x N`` matrix at the dense limit.  Otherwise falls back to dense
-    expansion.
+    The work holds ``d**(diagonal sites + 2 * dense sites) <= N**2`` entries
+    (a plan factor has one dense site at most).  Past ``max(dense_limit**2,
+    64)`` entries ``N`` itself exceeds the dense limit: ``DenseLimitError``.
     """
     gram = compose(op, adjoint(op))
     d = op.local_dim
@@ -512,22 +485,21 @@ def unitarity_residual(op: StructuredOperator, dense_limit: int = DEFAULT_DENSE_
     )
     stored = {i for t in gram.terms for i, _ in t.site_matrices}
     diag_sites = sorted(stored.difference(dense_sites))
-    support = d ** (len(diag_sites) + 2 * len(dense_sites))
-    if support <= max(dense_limit**2, 64):
-        bdim = d ** len(dense_sites)
-        ddim = d ** len(diag_sites)
-        acc = np.zeros((ddim, bdim, bdim), dtype=complex)
-        for t in gram.terms:
-            diag_part = np.ones(1, dtype=complex)
-            for i in diag_sites:
-                diag_part = np.kron(diag_part, np.diagonal(t.factor(i)))
-            dense_part = np.ones((1, 1), dtype=complex)
-            for i in dense_sites:
-                dense_part = np.kron(dense_part, t.factor(i))
-            acc += t.coefficient * diag_part[:, None, None] * dense_part[None, :, :]
-        acc -= np.eye(bdim)[None, :, :]
-        return float(np.max(np.abs(acc)))
-    return unitarity_residual_dense(expand(op, dense_limit))
+    if d ** (len(diag_sites) + 2 * len(dense_sites)) > max(dense_limit**2, 64):
+        _check_dense_limit(op.dim, dense_limit)
+    bdim = d ** len(dense_sites)
+    ddim = d ** len(diag_sites)
+    acc = np.zeros((ddim, bdim, bdim), dtype=complex)
+    for t in gram.terms:
+        diag_part = np.ones(1, dtype=complex)
+        for i in diag_sites:
+            diag_part = np.kron(diag_part, np.diagonal(t.factor(i)))
+        dense_part = np.ones((1, 1), dtype=complex)
+        for i in dense_sites:
+            dense_part = np.kron(dense_part, t.factor(i))
+        acc += t.coefficient * diag_part[:, None, None] * dense_part[None, :, :]
+    acc -= np.eye(bdim)[None, :, :]
+    return float(np.max(np.abs(acc)))
 
 
 class Permutation:

@@ -10,6 +10,7 @@ from kronfft import (
     CPhaseStep,
     Circuit,
     CircuitFormatError,
+    DenseLimitError,
     FourierStep,
     Gate,
     adjoint,
@@ -170,6 +171,10 @@ class TestGateUnitary:
         with pytest.raises(ValueError):
             gate_unitary(Gate("hadamard", target=5), 2, 2)
 
+    def test_hadamard_unitary_requires_qubits(self):
+        with pytest.raises(ValueError, match="qubit gate"):
+            gate_unitary(Gate("hadamard", 0), 2, 3)
+
     @pytest.mark.parametrize(
         "gate,step,d",
         [
@@ -242,6 +247,15 @@ class TestSimulateDense:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             simulate_dense(Circuit(2), np.zeros(3))
+
+    @pytest.mark.parametrize("n", [10**6, 10**8])
+    def test_huge_loaded_circuit_hits_the_dense_limit(self, n):
+        # The check never forms 3**n, and its message names the power.
+        c = deserialize(json.dumps({"version": 1, "n": n, "d": 3, "gates": []}))
+        with pytest.raises(DenseLimitError, match=rf"dimension 3\*\*{n} exceeds"):
+            circuit_unitary(c)
+        with pytest.raises(DenseLimitError):
+            simulate_dense(c, np.zeros(1))
 
     @pytest.mark.parametrize("gates", [(), (Gate("swap", 0, 1),), (Gate("hadamard", 0),)])
     @pytest.mark.parametrize("shape", [(), (4, 2, 2)])
@@ -412,6 +426,7 @@ class TestSerialization:
             [{"kind": "cphase", "target": 0, "control": 1, "level": 0}],
             [{"kind": "cphase", "target": 0, "control": 1}],
             "not a list",
+            ["not an object"],
         ],
     )
     def test_malformed_gates_rejected(self, gates):
@@ -432,6 +447,10 @@ class TestSerialization:
         entry[field] = value
         with pytest.raises(CircuitFormatError):
             deserialize(json.dumps(doc))
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(CircuitFormatError, match="must be a JSON object"):
+            deserialize("[1, 2]")
 
     def test_bad_version_and_bad_json(self):
         with pytest.raises(CircuitFormatError):
@@ -460,3 +479,12 @@ class TestGateValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Gate("toffoli", target=0)
+
+    def test_single_wire_kinds_take_no_control(self):
+        with pytest.raises(ValueError, match="takes no control wire"):
+            Gate("not", 0, control=1)
+
+    @pytest.mark.parametrize("n,d", [(0, 2), (1, 1)])
+    def test_circuits_need_a_wire_of_two_levels(self, n, d):
+        with pytest.raises(ValueError, match="n >= 1 wires"):
+            Circuit(n, d)

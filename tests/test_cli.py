@@ -162,6 +162,34 @@ class TestVerify:
         assert code == EXIT_FAIL
         assert err
 
+    def test_dense_limit_message(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "13")
+        assert code == EXIT_LIMIT and out == ""
+        assert err == "kronfft: dense limit exceeded: dimension 8192 exceeds the dense limit 4096\n"
+
+    @pytest.mark.parametrize("n", [10**6, 10**8])
+    def test_huge_loaded_plan_hits_the_dense_limit(self, capsys, tmp_path, n):
+        # A symbolic plan of any size loads; the dense check never forms 3**n.
+        plan_file = tmp_path / "plan.json"
+        doc = {"version": 1, "kind": "qft", "n": n, "d": 3, "orientation": "target-first", "factors": []}
+        plan_file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--n", "1", "--plan", str(plan_file))
+        assert code == EXIT_LIMIT and out == ""
+        assert err == f"kronfft: dense limit exceeded: dimension 3**{n} exceeds the dense limit 4096\n"
+
+    def test_env_var_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("KRONFFT_DENSE_LIMIT", "abc")
+        code, out, err = run(capsys, "verify", "--n", "2")
+        assert code == EXIT_FAIL and out == ""
+        assert err == "kronfft: KRONFFT_DENSE_LIMIT must be an integer, got 'abc'\n"
+
+    def test_plan_file_must_hold_an_object(self, capsys, tmp_path):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text("[1, 2]")
+        code, out, err = run(capsys, "verify", "--n", "2", "--plan", str(plan_file))
+        assert code == EXIT_FAIL and out == ""
+        assert err == "kronfft: invalid document: plan document must be a JSON object\n"
+
 
 class TestCircuit:
     def test_counts_even_n(self, capsys):
@@ -270,6 +298,25 @@ class TestSimulate:
         assert code == EXIT_FAIL
         assert "out of range" in err
 
+    def test_wrong_basis_digit_count(self, capsys):
+        code, out, err = run(capsys, "simulate", "--n", "3", "--basis", "01")
+        assert code == EXIT_FAIL and out == ""
+        assert err == "kronfft: expected 3 basis digits, got 2\n"
+
+    def test_empty_vector_file(self, capsys, tmp_path):
+        empty = tmp_path / "x.txt"
+        empty.write_text("\n  \n")
+        code, out, err = run(capsys, "simulate", "--n", "1", "--input", str(empty))
+        assert code == EXIT_FAIL and out == ""
+        assert err == f"kronfft: {empty}: vector file is empty\n"
+
+    def test_vector_line_not_a_complex_pair(self, capsys, tmp_path):
+        bad = tmp_path / "x.txt"
+        bad.write_text("1 0\n1 x\n")
+        code, out, err = run(capsys, "simulate", "--n", "1", "--input", str(bad))
+        assert code == EXIT_FAIL and out == ""
+        assert err == f"kronfft: {bad}:2: not a complex pair: '1 x'\n"
+
     def test_check_past_dense_limit_writes_nothing(self, capsys, tmp_path):
         # The limit is checked before the transform, not after its output.
         out_file = tmp_path / "y.txt"
@@ -321,6 +368,31 @@ class TestRankGrowth:
         assert code == EXIT_OK
         assert doc["residual"] < 1e-10
         assert doc["steps"][0]["elapsed_ms"] == 0.0
+
+    def test_text_format(self, capsys):
+        code, out, err = run(capsys, "rankgrowth", "--n", "3", "--seed", "3", "--format", "text")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert lines[:-1] == [
+            "qft rank growth: n=3 d=2 orientation=target-first prune=1e-14 seed=3",
+            "step  term_count  factor",
+            "   0           1  fourier@1",
+            "   1           2  cr3@3>1",
+            "   2           4  cr2@2>1",
+            "   3           4  fourier@2",
+            "   4           4  cr2@3>2",
+            "   5           4  fourier@3",
+            "   6           4  digit-reversal",
+        ]
+        prefix = "final dense residual: "
+        assert lines[-1].startswith(prefix)
+        residual = lines[-1][len(prefix):]
+        assert residual == f"{float(residual):.3e}" and float(residual) < 1e-10
+
+    def test_wrong_basis_digit_count(self, capsys):
+        code, out, err = run(capsys, "rankgrowth", "--n", "2", "--basis", "011")
+        assert code == EXIT_FAIL and out == ""
+        assert err == "kronfft: expected 2 basis digits, got 3\n"
 
     def test_dense_limit(self, capsys):
         code, _, _ = run(capsys, "rankgrowth", "--n", "20")

@@ -100,6 +100,22 @@ class TestBasisState:
             cp_basis_state([], 2)
 
 
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "n,d,terms,message",
+        [
+            (0, 2, (RankOneTerm(1.0, ()),), "n >= 1 sites"),
+            (1, 1, (RankOneTerm(1.0, (np.ones(1),)),), "n >= 1 sites"),
+            (2, 2, (), "at least one term"),
+            (2, 2, (RankOneTerm(1.0, (np.ones(2),)),), "term has 1 sites, expected 2"),
+            (1, 2, (RankOneTerm(1.0, (np.ones(3),)),), "site vector length 3 != 2"),
+        ],
+    )
+    def test_invalid_states_rejected(self, n, d, terms, message):
+        with pytest.raises(ValueError, match=message):
+            CPState(n, d, terms)
+
+
 class TestCpToDense:
     def test_single_term_matches_kron(self):
         rng = np.random.default_rng(0)
@@ -173,6 +189,10 @@ class TestApplyOpCp:
         op = StructuredOperator(2, 2, (embed_term(2, 2, {}),))
         with pytest.raises(ValueError):
             apply_op_cp(op, cp_basis_state([0, 0, 0], 2))
+
+    def test_operator_without_terms(self):
+        with pytest.raises(ValueError, match="operator has no terms"):
+            apply_op_cp(StructuredOperator(2, 2, ()), cp_basis_state([0, 0], 2))
 
 
 class TestDiagonalCascade:

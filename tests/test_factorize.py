@@ -40,6 +40,7 @@ from kronfft import (
     unitarity_residual,
     verify_plan,
 )
+from kronfft.factorize import plan_from_dict
 
 
 def plan_residual(plan):
@@ -258,6 +259,16 @@ class TestVerifyPlan:
         with pytest.raises(DenseLimitError):
             verify_plan(fft_plan(5, 2), dense_limit=16)
 
+    @pytest.mark.parametrize("n", [10**6, 10**8])
+    def test_huge_loaded_plan_hits_the_dense_limit(self, n):
+        # The plan loads at any size; the check never forms 3**n.
+        doc = {"version": 1, "kind": "qft", "n": n, "d": 3, "orientation": "target-first", "factors": []}
+        plan = plan_from_json(json.dumps(doc))
+        with pytest.raises(DenseLimitError, match=rf"dimension 3\*\*{n} exceeds"):
+            verify_plan(plan)
+        with pytest.raises(DenseLimitError):
+            plan_product(plan)
+
     def test_unitarity_can_be_skipped(self):
         report = verify_plan(fft_plan(3, 2), unitarity=False)
         assert report.factor_unitarity == ()
@@ -407,6 +418,7 @@ class TestPlanSerialization:
                     {"op": "cphase", "level": 2, "control": 0, "target": 1},
                 ],
             ),
+            lambda doc: doc.update(factors="not a list"),
         ],
     )
     def test_malformed_documents_rejected(self, mutate):
@@ -414,6 +426,12 @@ class TestPlanSerialization:
         mutate(doc)
         with pytest.raises(PlanFormatError):
             plan_from_json(json.dumps(doc))
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(PlanFormatError, match="must be a JSON object"):
+            plan_from_json("[1, 2]")
+        with pytest.raises(PlanFormatError, match="must be a JSON object"):
+            plan_from_dict(["qft", 2, 2])
 
     def test_non_object_factor_rejected(self):
         doc = json.loads(plan_to_json(qft_plan(2, 2)))

@@ -218,6 +218,11 @@ class TestOmegaKronFactors:
         for i, f in enumerate(factors):
             np.testing.assert_allclose(f, r_gate(i + 2, 2), atol=1e-15)
 
+    @pytest.mark.parametrize("n,d", [(0, 2), (2, 1)])
+    def test_guards(self, n, d):
+        with pytest.raises(ValueError, match="needs n >= 1 and d >= 2"):
+            omega_kron_factors(n, d)
+
 
 class TestExponentRender:
     def test_eight_mod_row(self):

@@ -126,6 +126,12 @@ def test_projector_family(d):
             np.testing.assert_array_equal(prod, expected)
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+def test_projector_index_out_of_range(index):
+    with pytest.raises(ValueError, match="out of range for dimension 2"):
+        basis_projector(index, 2)
+
+
 class TestStructuredOperator:
     def test_expand_identity_term(self):
         op = StructuredOperator(2, 2, (embed_term(2, 2, {}),))
@@ -159,6 +165,10 @@ class TestStructuredOperator:
             StructuredOperator(2, 2, (embed_term(3, 2, {}),))
         with pytest.raises(ValueError):
             StructuredOperator(1, 3, (KronTerm(1.0, (np.eye(2),)),))
+
+    def test_needs_a_site(self):
+        with pytest.raises(ValueError, match="at least one site"):
+            StructuredOperator(0, 2, ())
 
     def test_factors_are_read_only(self):
         term = embed_term(2, 2, {0: np.array([[0, 1], [1, 0]])})
@@ -311,6 +321,16 @@ class TestUnitarityResidual:
     def test_detects_non_unitary(self):
         op = StructuredOperator(2, 2, (KronTerm(2.0, (np.eye(2), np.eye(2))),))
         assert unitarity_residual(op) > 1.0
+
+    def test_past_the_dense_limit(self):
+        # Four dense Gram sites need 2**8 entries, past max(8**2, 64), so the
+        # dimension 16 is past the limit 8; one dense site needs only 2**2.
+        rng = np.random.default_rng(11)
+        dense = StructuredOperator(4, 2, (KronTerm(1.0, [random_matrix(rng, 2)] * 4),))
+        with pytest.raises(DenseLimitError, match="^dimension 16 exceeds the dense limit 8$"):
+            unitarity_residual(dense, dense_limit=8)
+        q, _ = np.linalg.qr(random_matrix(rng, 2))
+        assert unitarity_residual(single_site_operator(4, 2, 1, q), dense_limit=8) < 1e-13
 
 
 class TestDigitReversal:
