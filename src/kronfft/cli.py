@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .tensor import DEFAULT_DENSE_LIMIT, DenseLimitError
+from .tensor import DEFAULT_DENSE_LIMIT, DenseLimitError, _check_dense_sites
 from .spectral import _dft_product
 from . import factorize
 from .factorize import (
@@ -163,6 +163,9 @@ def cmd_verify(args) -> int:
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan = plan_from_json(fh.read())
     else:
+        # Before building: qft_plan(n) has n(n+1)/2 steps.
+        factorize._check_plan_args(args.n, args.d)
+        _check_dense_sites(args.n, args.d, limit)
         plan = _build_plan(args)
     report = verify_plan(plan, dense_limit=limit)
     ok = report.residual < args.tolerance
@@ -239,21 +242,27 @@ def cmd_circuit(args) -> int:
 
 def cmd_simulate(args) -> int:
     limit = _dense_limit(args)
-    plan = _build_plan(args)
+    # A bad n or d, then a bad input or basis, then the dense limit, all
+    # before the plan is built.
+    factorize._check_plan_args(args.n, args.d)
     if args.input is not None:
         x = _read_vector(args.input)
+        if x.shape[0] != args.d**args.n:
+            raise ValueError(f"input length {x.shape[0]} does not match d**n = {args.d**args.n}")
     else:
         digits = _parse_digits(args.basis, args.d) if args.basis else [0] * args.n
         if len(digits) != args.n:
             raise ValueError(f"expected {args.n} basis digits, got {len(digits)}")
+    if args.check:  # before any output, so a check past the dense limit writes nothing
+        _check_dense_sites(args.n, args.d, limit)
+    plan = _build_plan(args)
+    if args.input is None:
         index = 0
         for dig in digits:
             index = index * args.d + dig
         x = np.zeros(plan.dim, dtype=complex)
         x[index] = 1.0
-    if x.shape[0] != plan.dim:
-        raise ValueError(f"input length {x.shape[0]} does not match d**n = {plan.dim}")
-    if args.check:  # before any output, so a check past the dense limit writes nothing
+    if args.check:
         oracle = _dft_product(x, inverse=args.inverse, dense_limit=limit)
     y = fft_apply(plan, x, inverse=args.inverse)
     _emit(_format_vector(y, args.format), args.output)

@@ -32,6 +32,7 @@ from .tensor import (
     KronTerm,
     Permutation,
     StructuredOperator,
+    _SHORT_REST,
     _apply_owned,
     _check_dense_limit,
     _check_dense_sites,
@@ -42,7 +43,7 @@ from .tensor import (
     reverse_digits,
     unitarity_residual,
 )
-from .spectral import _dft_blocks, _phase_gate, fourier_gate, omega_diag
+from .spectral import _dft_entries, _dft_roots, _phase_gate, fourier_gate, omega_diag
 
 FFT = "fft"
 QFT = "qft"
@@ -51,6 +52,9 @@ TARGET_FIRST = "target-first"
 ORIENTATIONS = (CONTROL_FIRST, TARGET_FIRST)
 
 PLAN_SCHEMA_VERSION = 1
+
+#: Bytes of one column block of a dense plan product (``_product_blocks``).
+_BLOCK_BYTES = 12 << 20
 
 
 class PlanFormatError(ValueError):
@@ -315,18 +319,44 @@ def decomposition_product(
     return out
 
 
+def _product_blocks(plan: FactorizationPlan):
+    """``(start, block)`` for each block of identity columns, in order, with
+    ``block`` the columns after every factor's kernel and before the reversal.
+
+    A block is the largest power of two of columns, at least 32, that fits in
+    ``_BLOCK_BYTES``; the last one holds the rest, with a tail of at most
+    ``_SHORT_REST`` columns folded in.  So every block is wider than
+    ``_SHORT_REST`` columns or is the whole matrix, and only the last one may
+    have a width that a BLAS kernel's unroll does not divide: every entry
+    takes the kernel path, and gets the bits, that the N x N identity gives.
+    """
+    dim = plan.dim
+    width = 1 << max((_BLOCK_BYTES // (16 * dim)).bit_length() - 1, 5)
+    starts = range(0, max(dim - _SHORT_REST, 1), width)
+    for start, stop in zip(starts, [*starts[1:], dim]):
+        work = np.eye(dim, stop - start, -start, dtype=complex)
+        for f in plan.factors:
+            work = _apply_owned(f, work)
+        yield start, work
+
+
 def plan_product(plan: FactorizationPlan, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Dense matrix of ``reversal @ factors[-1] @ ... @ factors[0]``.
 
-    Evaluated by applying each factor's kernel to the columns of the identity,
-    never by dense matrix-matrix products.  Diagonal factors
-    scale the work array in place, so at most two N x N arrays are alive.
+    Evaluated by applying each factor's kernel to blocks of identity columns,
+    never by dense matrix-matrix products, and transposing each block's digit
+    axes straight into the output's columns: the N x N output is the only
+    array that large.  The result is the one the whole identity gives, bit
+    for bit.
     """
     _check_dense_sites(plan.n, plan.d, dense_limit)
-    out = np.eye(plan.dim, dtype=complex)
-    for f in plan.factors:
-        out = _apply_owned(f, out)
-    return reverse_digits(out, plan.n, plan.d)
+    out = np.empty((plan.dim, plan.dim), dtype=complex)
+    digits = (plan.d,) * plan.n + (-1,)
+    reverse = tuple(range(plan.n - 1, -1, -1)) + (plan.n,)
+    for start, block in _product_blocks(plan):
+        cols = out[:, start : start + block.shape[1]].reshape(digits)  # a view
+        cols[...] = block.reshape(digits).transpose(reverse)
+    return out
 
 
 def verify_plan(
@@ -338,17 +368,20 @@ def verify_plan(
 
     Returns the max-abs entrywise residual of the plan product against
     ``dft_matrix(d**n)`` together with per-factor unitarity residuals.  The
-    DFT rows are gathered in blocks from the same N roots as ``dft_matrix``
-    and subtracted from the product in place, so the oracle never holds a
-    second N x N array.
+    product is formed one block of identity columns at a time, as in
+    ``plan_product``.  Instead of reversing a block's digits, the DFT entries
+    of the digit-reversed rows and the block's columns, gathered from the
+    same N roots as ``dft_matrix``, are subtracted from it in place.  Each
+    entry meets the same DFT entry as in the whole matrices, so the residual
+    is theirs, and no N x N array is built.
     """
-    approx = plan_product(plan, dense_limit=dense_limit)
+    _check_dense_sites(plan.n, plan.d, dense_limit)
+    rows = reverse_digits(np.arange(plan.dim), plan.n, plan.d)
+    roots = _dft_roots(plan.dim)
     peaks = []
-    for start, oracle in _dft_blocks(plan.dim):
-        rows = approx[start : start + len(oracle)]
-        rows -= oracle
-        peaks.append(np.max(np.abs(rows)))
-    del approx, rows, oracle
+    for start, block in _product_blocks(plan):
+        block -= _dft_entries(roots, rows, slice(start, start + block.shape[1]))
+        peaks.append(np.max(np.abs(block)))
     residual = float(np.max(peaks))
     factor_unitarity = ()
     if unitarity:

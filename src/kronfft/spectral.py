@@ -35,7 +35,7 @@ def dft_matrix(
     if size < 1:
         raise ValueError("size must be a positive integer")
     _check_dense_limit(size, dense_limit)
-    return _dft_rows(_dft_roots(size, inverse), 0, size)
+    return _dft_entries(_dft_roots(size, inverse))
 
 
 def _dft_roots(size: int, inverse: bool = False) -> np.ndarray:
@@ -44,16 +44,17 @@ def _dft_roots(size: int, inverse: bool = False) -> np.ndarray:
     return np.exp(sign * np.pi * np.arange(size, dtype=np.int64) / size) / np.sqrt(size)
 
 
-def _dft_rows(roots: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows ``start:stop`` of the DFT matrix whose scaled roots are ``roots``.
+def _dft_entries(roots: np.ndarray, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """Entries ``(k, j)`` of the DFT matrix whose scaled roots are ``roots``,
+    for k in ``rows`` and j in ``cols`` (slices or index arrays).
 
     Entry ``(k, j)`` is ``roots[k*j mod N]``; only the exponents of these
-    rows are formed, so a caller can stream the matrix in row blocks.
+    entries are formed, so a caller can stream the matrix in row or column
+    blocks.  The matrix is symmetric, bit for bit.
     """
-    size = roots.size
-    idx = np.arange(size, dtype=np.int64)
-    exps = np.outer(idx[start:stop], idx)
-    exps %= size
+    idx = np.arange(roots.size, dtype=np.int64)
+    exps = np.outer(idx[rows], idx[cols])
+    exps %= roots.size
     return roots[exps]
 
 
@@ -61,7 +62,7 @@ def _dft_blocks(size: int, inverse: bool = False):
     """``(start, rows)`` of each ``_ORACLE_ROWS``-row block of the DFT matrix, in order."""
     roots = _dft_roots(size, inverse)
     for start in range(0, size, _ORACLE_ROWS):
-        yield start, _dft_rows(roots, start, start + _ORACLE_ROWS)
+        yield start, _dft_entries(roots, slice(start, start + _ORACLE_ROWS))
 
 
 def _dft_product(

@@ -191,6 +191,65 @@ class TestVerify:
         assert err == "kronfft: invalid document: plan document must be a JSON object\n"
 
 
+class TestEarlyDenseLimit:
+    """``verify`` and ``simulate --check`` refuse a d**n past the dense limit
+    before any plan is built, with the message and exit code of the check."""
+
+    @pytest.fixture(autouse=True)
+    def no_plans(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"built a plan for {args}")
+
+        monkeypatch.setattr(cli, "fft_plan", refuse)
+        monkeypatch.setattr(cli, "qft_plan", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--n", "1000"),
+            ("verify", "--kind", "fft", "--n", "1000"),
+            ("verify", "--n", "13", "--d", "2"),
+            ("simulate", "--n", "1000", "--check"),
+            ("simulate", "--kind", "qft", "--n", "1000", "--check"),
+            ("simulate", "--n", "13", "--basis", "0" * 13, "--check"),
+        ],
+    )
+    def test_exits_before_building(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        n = int(argv[argv.index("--n") + 1])
+        assert code == EXIT_LIMIT and out == ""
+        assert err == f"kronfft: dense limit exceeded: dimension {2**n} exceeds the dense limit 4096\n"
+
+    def test_huge_n_is_named_as_a_power(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "100000000", "--d", "3")
+        assert code == EXIT_LIMIT and out == ""
+        assert err == "kronfft: dense limit exceeded: dimension 3**100000000 exceeds the dense limit 4096\n"
+
+    def test_bad_arguments_come_first(self, capsys):
+        for argv in (("verify", "--n", "0"), ("simulate", "--n", "0", "--check")):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_FAIL and err == "kronfft: plans need at least one site\n"
+        code, _, err = run(capsys, "simulate", "--n", "13", "--d", "1", "--check")
+        assert code == EXIT_FAIL and err == "kronfft: local dimension must be at least 2\n"
+        code, _, err = run(capsys, "simulate", "--n", "13", "--basis", "01", "--check")
+        assert code == EXIT_FAIL and err == "kronfft: expected 13 basis digits, got 2\n"
+
+    def test_bad_input_comes_first(self, capsys, tmp_path):
+        # A bad --input is reported as before, ahead of the dense limit.
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n")
+        code, out, err = run(capsys, "simulate", "--n", "13", "--input", str(empty), "--check")
+        assert code == EXIT_FAIL and out == ""
+        assert err == f"kronfft: {empty}: vector file is empty\n"
+        short = tmp_path / "short.txt"
+        short.write_text("1 0\n0 0\n")
+        code, out, err = run(capsys, "simulate", "--n", "13", "--input", str(short), "--check")
+        assert code == EXIT_FAIL and out == ""
+        assert err == "kronfft: input length 2 does not match d**n = 8192\n"
+        code, out, err = run(capsys, "simulate", "--n", "13", "--input", str(tmp_path / "no"), "--check")
+        assert code == EXIT_FAIL and out == "" and "No such file" in err
+
+
 class TestCircuit:
     def test_counts_even_n(self, capsys):
         code, out, _ = run(

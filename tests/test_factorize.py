@@ -326,6 +326,27 @@ class TestStreamedOracle:
         assert peak <= 2.1 * plan.dim**2 * 16
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedMemory:
+    """The plan product is formed on blocks of identity columns, so at the
+    dense limit (N = 4096, 256 MiB per N x N array) ``verify_plan`` holds no
+    N x N array and ``plan_product`` holds only its output."""
+
+    def test_verify_plan_peak(self):
+        assert _traced_peak(verify_plan, fft_plan(12, 2)) <= 32 * 2**20
+
+    def test_plan_product_peak(self):
+        assert _traced_peak(plan_product, fft_plan(12, 2)) <= 300 * 2**20
+
+
 class TestFftApply:
     def test_basis_state_gives_uniform_column(self):
         plan = fft_plan(3, 2)

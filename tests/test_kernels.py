@@ -20,6 +20,7 @@ from kronfft import (
     circuit_unitary,
     compose,
     decomposition_product,
+    dft_matrix,
     diagonal_decomposition,
     digit_reversal,
     embed_term,
@@ -36,7 +37,7 @@ from kronfft import (
     single_site_operator,
     verify_plan,
 )
-from kronfft import tensor
+from kronfft import factorize, tensor
 from kronfft.spectral import fourier_gate
 from kronfft.tensor import _SHORT_REST, _compile
 
@@ -377,6 +378,57 @@ class TestOwnedArrays:
         assert writable.tobytes() == before
         unitary = circuit_unitary(c)
         assert unitary.tobytes() == _gate_chain(c, np.eye(d**n, dtype=complex)).tobytes()
+
+
+#: Plans whose N (2187, 81, 625, 256, 125) split into 32- or 64-column blocks
+#: with a ragged last block, or into whole blocks.
+BLOCKED_PLANS = (
+    lambda: fft_plan(7, 3),
+    lambda: qft_plan(4, 3, "control-first"),
+    lambda: qft_plan(4, 3, "target-first"),
+    lambda: fft_plan(4, 5),
+    lambda: fft_plan(8, 2),
+    lambda: qft_plan(3, 5, "control-first"),
+    lambda: qft_plan(3, 5, "target-first"),
+    lambda: _cphase_first_plan(4, 3),
+)
+
+
+class TestBlockedProduct:
+    """``plan_product`` and ``verify_plan`` run the plan on blocks of identity
+    columns; products and residuals are the whole identity's, bit for bit."""
+
+    @pytest.mark.parametrize("width", [None, 32, 64])
+    @pytest.mark.parametrize("make", BLOCKED_PLANS)
+    def test_blocks_match_whole_identity(self, make, width, monkeypatch):
+        plan = make()
+        if width is not None:
+            monkeypatch.setattr(factorize, "_BLOCK_BYTES", 16 * plan.dim * width)
+        reference = plan.reversal.apply(_chain(plan.factors, np.eye(plan.dim, dtype=complex)))
+        assert plan_product(plan).tobytes() == reference.tobytes()
+        residual = float(np.max(np.abs(reference - dft_matrix(plan.dim))))
+        assert verify_plan(plan, unitarity=False).residual == residual
+
+    @pytest.mark.parametrize("dim", [2, 16, 17, 31, 32, 33, 48, 49, 64, 65, 81, 625, 2187, 4096])
+    @pytest.mark.parametrize("budget", [1, 16 * 64 * 64, None])
+    def test_block_widths(self, dim, budget, monkeypatch):
+        # The blocks tile the identity's columns in order.  Each one but the
+        # last is the largest power of two of at least 32 columns within the
+        # budget, and the last one is wider than _SHORT_REST columns or is
+        # the whole matrix.
+        if budget is None:
+            budget = factorize._BLOCK_BYTES
+        monkeypatch.setattr(factorize, "_BLOCK_BYTES", budget)
+        plan = factorize.FactorizationPlan(1, dim, "fft", "control-first", ())  # no factors
+        blocks = list(factorize._product_blocks(plan))
+        assert np.array_equal(np.hstack([block for _, block in blocks]), np.eye(dim))
+        widths = [block.shape[1] for _, block in blocks]
+        assert [start for start, _ in blocks] == [sum(widths[:i]) for i in range(len(widths))]
+        if len(widths) > 1:
+            width = widths[0]
+            assert widths[:-1] == [width] * (len(widths) - 1) and width & (width - 1) == 0
+            assert width == 32 or 16 * dim * width <= budget < 32 * dim * width
+            assert _SHORT_REST < widths[-1] <= width + _SHORT_REST
 
 
 def _same_array(a, b):
