@@ -7,6 +7,7 @@ convention.  Gates are applied left to right.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -208,34 +209,49 @@ def lower_to_circuit(plan: FactorizationPlan, swap_style: str = KEEP_SWAP) -> Ci
     return Circuit(plan.n, plan.d, tuple(gates))
 
 
+def _gate_ops(c: Circuit) -> list:
+    """Each gate's operator; a swap is the digit shape and the two axes it exchanges."""
+    digits = ((c.d,) * c.n,)
+    return [digits + g.wires if g.kind == SWAP else gate_unitary(g, c.n, c.d) for g in c.gates]
+
+
+def _run_gates(ops: list, work: np.ndarray, owned: bool = True) -> np.ndarray:
+    """``work`` through a circuit's ``_gate_ops``, owned as in ``factorize._chain``."""
+    for op in ops:
+        if isinstance(op, tuple):
+            digits, a, b = op
+            work = work.reshape(digits + work.shape[1:]).swapaxes(a, b).reshape(work.shape)
+        else:
+            work = _apply_owned(op, work, owned)
+            owned = True
+    return work
+
+
 def simulate_dense(
     c: Circuit, x: np.ndarray, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> np.ndarray:
     """Apply the circuit's gates in order to a dense state vector.
 
     A swap exchanges two digit axes of the state (a transpose, no
-    arithmetic); every other gate goes through ``gate_unitary``.  The
-    caller's ``x`` is never written: once a gate has produced a new state,
-    diagonal gates scale that state in place.
+    arithmetic); every other gate goes through its ``gate_unitary``, built
+    once per call.  The caller's ``x`` is never written: once a gate has
+    produced a new state, diagonal gates scale that state in place.
     """
     _check_dense_sites(c.n, c.d, dense_limit)
     x = np.asarray(x, dtype=complex)
     _check_states(x, c.dim, "circuit")
-    owned = False
-    for g in c.gates:
-        if g.kind == SWAP:
-            digits = x.reshape((c.d,) * c.n + x.shape[1:])
-            x = digits.swapaxes(g.target, g.control).reshape(x.shape)
-        else:
-            x = _apply_owned(gate_unitary(g, c.n, c.d), x, owned)
-            owned = True
-    return x
+    return _run_gates(_gate_ops(c), x, owned=False)
 
 
 def circuit_unitary(c: Circuit, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    """Dense unitary of the whole circuit."""
+    """Dense unitary of the whole circuit, formed as in ``plan_product`` on blocks
+    of identity columns, each run through the gates and copied into its output
+    columns: the output is the only N x N array, and equals the whole identity's."""
     _check_dense_sites(c.n, c.d, dense_limit)
-    return simulate_dense(c, np.eye(c.dim, dtype=complex), dense_limit=dense_limit)
+    out = np.empty((c.dim, c.dim), dtype=complex)
+    for start, block in factorize._product_blocks(c.dim, _run_gates, _gate_ops(c)):
+        out[:, start : start + block.shape[1]] = block
+    return out
 
 
 def count_gates(c: Circuit) -> GateCounts:
@@ -272,89 +288,54 @@ def qft_count_formulas(n: int) -> dict[str, int]:
 # -- equivalent-variant generation --------------------------------------------
 
 
-def _flip(g: Gate) -> Gate:
-    return Gate(CPHASE, target=g.control, control=g.target, level=g.level)
-
-
-def _nth_permutation(n_items: int, index: int) -> list[int]:
-    """The index-th permutation of range(n_items) in lexicographic order."""
-    items = list(range(n_items))
-    out = []
-    f = math.factorial(n_items)
-    for i in range(n_items, 0, -1):
-        f //= i
-        digit, index = divmod(index, f)
-        out.append(items.pop(digit))
-    return out
-
-
-def _cphase_runs(c: Circuit) -> list[list[int]]:
-    """Maximal stretches of consecutive controlled-R gates (these commute)."""
-    runs, current = [], []
-    for i, g in enumerate(c.gates):
-        if g.kind == CPHASE:
-            current.append(i)
-        elif current:
-            runs.append(current)
-            current = []
-    if current:
-        runs.append(current)
-    return runs
-
-
 def _build_variant(
     c: Circuit, cr_indices: list[int], runs: list[list[int]], mask: int, perms: tuple
 ) -> Circuit:
     gates = list(c.gates)
     for b, i in enumerate(cr_indices):
         if mask >> b & 1:
-            gates[i] = _flip(gates[i])
-    for run, perm in zip(runs, perms):
-        reordered = [gates[run[j]] for j in perm]
-        for pos, g in zip(run, reordered):
-            gates[pos] = g
+            g = gates[i]
+            gates[i] = Gate(CPHASE, target=g.control, control=g.target, level=g.level)
+    for run, perm in zip(runs, perms):  # a run is a stretch of consecutive indices
+        gates[run[0] : run[-1] + 1] = [gates[run[j]] for j in perm]
     return Circuit(c.n, c.d, tuple(gates))
 
 
 def equivalent_variants(
     c: Circuit, policy: str = "both", seed: int = 0, limit: int = 256
 ) -> list[Circuit]:
-    """Unitarily equal rewrites of a QFT-lowered circuit.
+    """Unitarily equal rewrites of a QFT-lowered circuit, at most ``limit`` (>= 1).
 
     ``swap-control-target`` flips control and target of controlled-R gates
     (matrix-equal by the reorder identity); ``shuffle-commuting`` permutes
     gates inside each run of consecutive controlled-R gates; ``both``
     combines them.  Enumeration is exhaustive when at most ``limit`` variants
-    exist (flip masks in increasing order, then run permutations in
-    lexicographic order); otherwise a seeded sample that always includes the
-    original circuit is returned.
+    exist: flip masks in increasing order vary fastest, then the first run's
+    permutations in lexicographic order, then the next run's.  Otherwise a
+    seeded sample that always includes the original circuit is returned.
     """
     if policy not in ("swap-control-target", "shuffle-commuting", "both"):
         raise ValueError(f"unknown variant policy {policy!r}")
+    if limit < 1:
+        raise ValueError(f"variant limit must be at least 1, got {limit!r}")
     do_flips = policy in ("swap-control-target", "both")
     do_shuffles = policy in ("shuffle-commuting", "both")
     cr_indices = [i for i, g in enumerate(c.gates) if g.kind == CPHASE]
-    runs = _cphase_runs(c) if do_shuffles else []
+    # Runs: maximal stretches of consecutive controlled-R gates (these commute).
+    grouped = itertools.groupby(enumerate(c.gates), key=lambda item: item[1].kind == CPHASE)
+    runs = [[i for i, _ in run] for is_cphase, run in grouped if is_cphase] if do_shuffles else []
     flip_total = 2 ** len(cr_indices) if do_flips else 1
-    radices = [math.factorial(len(run)) for run in runs]
-    total = flip_total
-    for r in radices:
-        total *= r
-
-    def decode(index: int) -> tuple[int, tuple]:
-        index, mask = divmod(index, flip_total) if do_flips else (index, 0)
-        perms = []
-        for run, radix in zip(runs, radices):
-            index, p = divmod(index, radix)
-            perms.append(tuple(_nth_permutation(len(run), p)))
-        return mask, tuple(perms)
+    total = flip_total * math.prod(math.factorial(len(run)) for run in runs)
 
     if total <= limit:
-        keys = [decode(i) for i in range(total)]
+        # ``product`` varies its last iterable fastest: runs reversed, masks last.
+        orders = [itertools.permutations(range(len(run))) for run in reversed(runs)]
+        product = itertools.product(*orders, range(flip_total))
+        keys = [(mask, tuple(reversed(perms))) for *perms, mask in product]
     else:
         rng = np.random.default_rng(seed)
-        seen = {decode(0)}
-        keys = [decode(0)]
+        keys = [(0, tuple(tuple(range(len(run))) for run in runs))]
+        seen = set(keys)
         attempts = 0
         while len(keys) < limit and attempts < 50 * limit:
             attempts += 1

@@ -98,7 +98,7 @@ def _build_plan(args) -> FactorizationPlan:
     return qft_plan(args.n, args.d, args.orientation)
 
 
-def _parse_digits(raw: str, d: int) -> list[int]:
+def _parse_digits(raw: str, d: int, n: int) -> list[int]:
     text = raw.strip()
     parts = text.split(",") if "," in text else list(text)
     try:
@@ -108,6 +108,8 @@ def _parse_digits(raw: str, d: int) -> list[int]:
     for dig in digits:
         if not 0 <= dig < d:
             raise ValueError(f"basis digit {dig} out of range for base {d}")
+    if len(digits) != n:
+        raise ValueError(f"expected {n} basis digits, got {len(digits)}")
     return digits
 
 
@@ -250,9 +252,7 @@ def cmd_simulate(args) -> int:
         if x.shape[0] != args.d**args.n:
             raise ValueError(f"input length {x.shape[0]} does not match d**n = {args.d**args.n}")
     else:
-        digits = _parse_digits(args.basis, args.d) if args.basis else [0] * args.n
-        if len(digits) != args.n:
-            raise ValueError(f"expected {args.n} basis digits, got {len(digits)}")
+        digits = _parse_digits(args.basis, args.d, args.n) if args.basis else [0] * args.n
     if args.check:  # before any output, so a check past the dense limit writes nothing
         _check_dense_sites(args.n, args.d, limit)
     plan = _build_plan(args)
@@ -278,10 +278,7 @@ def cmd_rankgrowth(args) -> int:
     limit = _dense_limit(args)
     prune = 0.0 if args.no_prune else args.prune
     if args.basis:
-        digits = _parse_digits(args.basis, args.d)
-        if len(digits) != args.n:
-            raise ValueError(f"expected {args.n} basis digits, got {len(digits)}")
-        state = cp_basis_state(digits, args.d)
+        state = cp_basis_state(_parse_digits(args.basis, args.d, args.n), args.d)
     else:
         state = random_rank_one(args.n, args.d, seed=args.seed)
     report = qft_rank_experiment(

@@ -315,15 +315,22 @@ def decomposition_product(
     """Dense product of the decomposition factors, in the stated i = 1..k order."""
     dim = dd.d ** (dd.k + 1)
     _check_dense_limit(dim, dense_limit)
-    out = np.eye(dim, dtype=complex)
-    for f in dd.factors:
-        out = _apply_owned(f, out)
-    return out
+    # Diagonal factors scale one whole identity in place; column blocks would add theirs.
+    return _chain(dd.factors, np.eye(dim, dtype=complex))
 
 
-def _product_blocks(plan: FactorizationPlan):
-    """``(start, block)`` for each block of identity columns, in order, with
-    ``block`` the columns after every factor's kernel and before the reversal.
+def _chain(ops, work: np.ndarray, owned: bool = True) -> np.ndarray:
+    """``work`` through each operator of ``ops`` in turn.  An ``owned`` ``work``
+    (nothing else reads it) may be scaled in place, as may every later array."""
+    for op in ops:
+        work = _apply_owned(op, work, owned)
+        owned = True
+    return work
+
+
+def _product_blocks(dim: int, run, ops):
+    """``(start, block)`` for each block of the N x N identity's columns, in
+    order, with ``block`` what ``run(ops, columns)`` makes of them.
 
     A block is the largest power of two of columns, at least 32, that fits in
     ``_BLOCK_BYTES``; the last one holds the rest, with a tail of at most
@@ -332,14 +339,11 @@ def _product_blocks(plan: FactorizationPlan):
     have a width that a BLAS kernel's unroll does not divide: every entry
     takes the kernel path, and gets the bits, that the N x N identity gives.
     """
-    dim = plan.dim
     width = 1 << max((_BLOCK_BYTES // (16 * dim)).bit_length() - 1, 5)
     starts = range(0, max(dim - _SHORT_REST, 1), width)
     for start, stop in zip(starts, [*starts[1:], dim]):
-        work = np.eye(dim, stop - start, -start, dtype=complex)
-        for f in plan.factors:
-            work = _apply_owned(f, work)
-        yield start, work
+        # Built in the call: a lambda, partial or ``*args`` call would keep the block alive.
+        yield start, run(ops, np.eye(dim, stop - start, -start, dtype=complex))
 
 
 def plan_product(plan: FactorizationPlan, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
@@ -355,7 +359,7 @@ def plan_product(plan: FactorizationPlan, dense_limit: int = DEFAULT_DENSE_LIMIT
     out = np.empty((plan.dim, plan.dim), dtype=complex)
     digits = (plan.d,) * plan.n + (-1,)
     reverse = tuple(range(plan.n - 1, -1, -1)) + (plan.n,)
-    for start, block in _product_blocks(plan):
+    for start, block in _product_blocks(plan.dim, _chain, plan.factors):
         cols = out[:, start : start + block.shape[1]].reshape(digits)  # a view
         cols[...] = block.reshape(digits).transpose(reverse)
     return out
@@ -381,7 +385,7 @@ def verify_plan(
     rows = reverse_digits(np.arange(plan.dim), plan.n, plan.d)
     roots = _dft_roots(plan.dim)
     peaks = []
-    for start, block in _product_blocks(plan):
+    for start, block in _product_blocks(plan.dim, _chain, plan.factors):
         block -= _dft_entries(roots, rows, slice(start, start + block.shape[1]))
         peaks.append(np.max(np.abs(block)))
     residual = float(np.max(peaks))
@@ -406,10 +410,8 @@ def fft_apply(plan: FactorizationPlan, x: np.ndarray, inverse: bool = False) -> 
     """
     x = np.asarray(x, dtype=complex)
     _check_states(x, plan.dim, "plan")
-    work = np.conj(x) if inverse else x
-    for f in plan.factors:
-        # The caller's array is never written; every later one is ours.
-        work = _apply_owned(f, work, owned=work is not x)
+    # The caller's array is never written; its conjugate is ours.
+    work = _chain(plan.factors, np.conj(x) if inverse else x, owned=inverse)
     work = reverse_digits(work, plan.n, plan.d)
     return np.conj(work, out=work) if inverse else work
 

@@ -58,20 +58,15 @@ def _dft_entries(roots: np.ndarray, rows=slice(None), cols=slice(None)) -> np.nd
     return roots[exps]
 
 
-def _dft_blocks(size: int, inverse: bool = False):
-    """``(start, rows)`` of each ``_ORACLE_ROWS``-row block of the DFT matrix, in order."""
-    roots = _dft_roots(size, inverse)
-    for start in range(0, size, _ORACLE_ROWS):
-        yield start, _dft_entries(roots, slice(start, start + _ORACLE_ROWS))
-
-
 def _dft_product(
     x: np.ndarray, inverse: bool = False, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> np.ndarray:
     """``dft_matrix(len(x), inverse) @ x`` for a vector ``x``, equal bit for bit
     at a fixed BLAS thread count, with the matrix streamed in row blocks."""
     _check_dense_limit(len(x), dense_limit)
-    return np.concatenate([rows @ x for _, rows in _dft_blocks(len(x), inverse)])
+    roots = _dft_roots(len(x), inverse)
+    starts = range(0, len(x), _ORACLE_ROWS)
+    return np.concatenate([_dft_entries(roots, slice(k, k + _ORACLE_ROWS)) @ x for k in starts])
 
 
 def omega_diag(

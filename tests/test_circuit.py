@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -343,6 +344,42 @@ class TestEquivalentVariants:
         assert len(a) == 20
         assert a[0] == c
 
+    def test_exhaustive_order(self):
+        # Flip masks vary fastest, then the first run's permutations in
+        # lexicographic order, then the next run's (a run of one gate here).
+        c = lower_to_circuit(qft_plan(3, 2))
+        want = [  # (control, target, level) of the controlled-R gates at 1, 2 and 4
+            [(2, 0, 3), (1, 0, 2), (2, 1, 2)],
+            [(0, 2, 3), (1, 0, 2), (2, 1, 2)],
+            [(2, 0, 3), (0, 1, 2), (2, 1, 2)],
+            [(0, 2, 3), (0, 1, 2), (2, 1, 2)],
+            [(2, 0, 3), (1, 0, 2), (1, 2, 2)],
+            [(0, 2, 3), (1, 0, 2), (1, 2, 2)],
+            [(2, 0, 3), (0, 1, 2), (1, 2, 2)],
+            [(0, 2, 3), (0, 1, 2), (1, 2, 2)],
+            [(1, 0, 2), (2, 0, 3), (2, 1, 2)],
+            [(1, 0, 2), (0, 2, 3), (2, 1, 2)],
+            [(0, 1, 2), (2, 0, 3), (2, 1, 2)],
+            [(0, 1, 2), (0, 2, 3), (2, 1, 2)],
+            [(1, 0, 2), (2, 0, 3), (1, 2, 2)],
+            [(1, 0, 2), (0, 2, 3), (1, 2, 2)],
+            [(0, 1, 2), (2, 0, 3), (1, 2, 2)],
+            [(0, 1, 2), (0, 2, 3), (1, 2, 2)],
+        ]
+        expected = []
+        for cphases in want:
+            gates = list(c.gates)
+            for i, (control, target, level) in zip((1, 2, 4), cphases):
+                gates[i] = Gate("cphase", target=target, control=control, level=level)
+            expected.append(Circuit(3, 2, tuple(gates)))
+        assert equivalent_variants(c, "both") == expected
+
+    def test_seeded_sample_is_pinned(self):
+        c = lower_to_circuit(qft_plan(5, 2))
+        text = "\n".join(serialize(v) for v in equivalent_variants(c, "both", seed=3, limit=20))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "5356dc3ce36679c65e541f745f1a4f5c7604f48062676e75a0e9623b8a6fbf4d"
+
     def test_sampled_variants_stay_equivalent(self):
         c = lower_to_circuit(qft_plan(4, 2))
         u0 = circuit_unitary(c)
@@ -352,6 +389,11 @@ class TestEquivalentVariants:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             equivalent_variants(Circuit(2), "mirror")
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="limit"):
+            equivalent_variants(lower_to_circuit(qft_plan(3, 2)), limit=limit)
 
 
 class TestRenderText:
@@ -369,6 +411,25 @@ class TestRenderText:
                 "q1: --[H]--[R2]-------x--",
                 "            |         |",
                 "q2: --------@----[H]--x--",
+            ]
+        )
+
+    def test_qutrit_gates_golden(self):
+        gates = (
+            Gate("fourier", target=0),
+            Gate("phase", target=1, level=2),
+            Gate("not", target=2),
+            Gate("cnot", target=2, control=0),
+            Gate("cphase", target=1, control=2, level=3),
+            Gate("swap", target=0, control=1),
+        )
+        assert render_text(Circuit(3, 3, gates)) == "\n".join(
+            [
+                "q1: --[F3]--------------@---------x--",
+                "                        |         |",
+                "q2: --------[R2]--------|---[R3]--x--",
+                "                        |    |",
+                "q3: --------------[X]--[X]---@-------",
             ]
         )
 

@@ -17,6 +17,7 @@ from kronfft import (
     PlanFormatError,
     apply_structured,
     basis_projector,
+    circuit_unitary,
     count_gates,
     decomposition_product,
     dft_matrix,
@@ -336,15 +337,20 @@ def _traced_peak(fn, *args):
 
 
 class TestBlockedMemory:
-    """The plan product is formed on blocks of identity columns, so at the
-    dense limit (N = 4096, 256 MiB per N x N array) ``verify_plan`` holds no
-    N x N array and ``plan_product`` holds only its output."""
+    """The plan product and a circuit's unitary are formed on blocks of identity
+    columns, so at the dense limit (N = 4096, 256 MiB per N x N array)
+    ``verify_plan`` holds no N x N array and ``plan_product`` and
+    ``circuit_unitary`` hold only their output."""
 
     def test_verify_plan_peak(self):
         assert _traced_peak(verify_plan, fft_plan(12, 2)) <= 32 * 2**20
 
     def test_plan_product_peak(self):
         assert _traced_peak(plan_product, fft_plan(12, 2)) <= 300 * 2**20
+
+    def test_circuit_unitary_peak(self):
+        circuit = lower_to_circuit(qft_plan(12, 2))
+        assert _traced_peak(circuit_unitary, circuit) <= 300 * 2**20
 
 
 class TestFftApply:

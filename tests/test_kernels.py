@@ -395,8 +395,9 @@ BLOCKED_PLANS = (
 
 
 class TestBlockedProduct:
-    """``plan_product`` and ``verify_plan`` run the plan on blocks of identity
-    columns; products and residuals are the whole identity's, bit for bit."""
+    """``plan_product`` and ``verify_plan`` run the plan, and ``circuit_unitary``
+    the gates, on blocks of identity columns; products and residuals are the
+    whole identity's, bit for bit."""
 
     @pytest.mark.parametrize("width", [None, 32, 64])
     @pytest.mark.parametrize("make", BLOCKED_PLANS)
@@ -409,6 +410,19 @@ class TestBlockedProduct:
         residual = float(np.max(np.abs(reference - dft_matrix(plan.dim))))
         assert verify_plan(plan, unitarity=False).residual == residual
 
+    @pytest.mark.parametrize("width", [None, 32, 64])
+    @pytest.mark.parametrize(
+        "n,d,style",
+        [(7, 3, "keep-swap"), (4, 5, "keep-swap"), (4, 3, "keep-swap"), (3, 5, "keep-swap"),
+         (8, 2, "three-cnot")],
+    )
+    def test_circuit_unitary_matches_whole_identity(self, n, d, style, width, monkeypatch):
+        c = lower_to_circuit(qft_plan(n, d), style)
+        if width is not None:
+            monkeypatch.setattr(factorize, "_BLOCK_BYTES", 16 * c.dim * width)
+        reference = _gate_chain(c, np.eye(c.dim, dtype=complex))
+        assert circuit_unitary(c).tobytes() == reference.tobytes()
+
     @pytest.mark.parametrize("dim", [2, 16, 17, 31, 32, 33, 48, 49, 64, 65, 81, 625, 2187, 4096])
     @pytest.mark.parametrize("budget", [1, 16 * 64 * 64, None])
     def test_block_widths(self, dim, budget, monkeypatch):
@@ -420,7 +434,7 @@ class TestBlockedProduct:
             budget = factorize._BLOCK_BYTES
         monkeypatch.setattr(factorize, "_BLOCK_BYTES", budget)
         plan = factorize.FactorizationPlan(1, dim, "fft", "control-first", ())  # no factors
-        blocks = list(factorize._product_blocks(plan))
+        blocks = list(factorize._product_blocks(plan.dim, factorize._chain, plan.factors))
         assert np.array_equal(np.hstack([block for _, block in blocks]), np.eye(dim))
         widths = [block.shape[1] for _, block in blocks]
         assert [start for start, _ in blocks] == [sum(widths[:i]) for i in range(len(widths))]
