@@ -1,5 +1,6 @@
 """Gate-level circuit IR: lowering of QFT plans, simulation, counting,
 equivalent-variant generation, text rendering, and JSON serialization.
+A ``Gate`` is a step record of its kind (``factorize._LocalStep``).
 
 Wire indices are 0-based everywhere in code and in serialized documents; the
 text renderer labels wires q1..qn to match the usual circuit-diagram
@@ -20,21 +21,10 @@ from .tensor import (
     _apply_owned,
     _check_dense_sites,
     _check_states,
-    basis_projector,
-    embed_term,
-    single_site_operator,
 )
-from .spectral import r_gate_power
 from . import factorize
-from .factorize import FactorizationPlan, PlanStep
-
-HADAMARD = "hadamard"
-FOURIER = "fourier"
-PHASE = "phase"
-NOT = "not"
-CPHASE = "cphase"
-CNOT = "cnot"
-SWAP = "swap"
+from .factorize import CNOT, CPHASE, FOURIER, HADAMARD, NOT, PHASE, SWAP, shift_matrix
+from .factorize import FactorizationPlan, _LocalStep
 
 GATE_KINDS = (HADAMARD, FOURIER, PHASE, NOT, CPHASE, CNOT, SWAP)
 _LEVELED = (PHASE, CPHASE)
@@ -51,10 +41,11 @@ class CircuitFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Gate:
+class Gate(_LocalStep):
     """One gate: a kind, a target wire, and optionally a control wire and R level.
 
-    A swap is symmetric; its second wire is stored in ``control``.
+    A swap is symmetric; its second wire is stored in ``control``.  Its
+    operator is that of the plan step of its kind, if there is one.
     """
 
     kind: str
@@ -77,10 +68,6 @@ class Gate:
                 raise ValueError(f"{self.kind} gate needs a positive R level")
         elif self.level is not None:
             raise ValueError(f"{self.kind} gate takes no level")
-
-    @property
-    def wires(self) -> tuple[int, ...]:
-        return (self.target,) if self.control is None else (self.control, self.target)
 
 
 @dataclass(frozen=True)
@@ -128,58 +115,18 @@ class GateCounts:
         )
 
 
-def shift_matrix(d: int) -> np.ndarray:
-    """Cyclic increment on a d-level site; the Pauli X for d = 2."""
-    out = np.zeros((d, d), dtype=complex)
-    for x in range(d):
-        out[(x + 1) % d, x] = 1.0
-    return out
-
-
 def gate_unitary(g: Gate, n: int, d: int) -> StructuredOperator:
-    """Embed a gate as an n-site structured operator.
+    """Embed a gate as an n-site structured operator: ``g.operator(n, d)``.
 
     Controlled gates expand to d Kronecker terms: the basis projector E_l on
     the control paired with the l-th power of the target unitary (the SUM
-    gate pattern for cnot when d > 2).  Hadamard/Fourier and controlled-R
-    gates are the operators of the matching plan steps, labels included.
+    gate pattern for cnot when d > 2).  A gate of a plan step's kind is that
+    step's operator, label included.  A wire outside ``0..n-1`` raises
+    ``ValueError``, as does a hadamard when d > 2.
     """
-    for w in g.wires:
-        if not 0 <= w < n:
-            raise ValueError(f"wire {w} out of range for {n} wires")
-    if g.kind in (HADAMARD, FOURIER):
-        if g.kind == HADAMARD and d != 2:
-            raise ValueError("hadamard is a qubit gate; use fourier for d > 2")
-        return factorize.FourierStep(g.target).operator(n, d)
-    if g.kind == CPHASE:
-        return factorize.CPhaseStep(g.control, g.target, g.level).operator(n, d)
-    if g.kind == PHASE:
-        return single_site_operator(n, d, g.target, r_gate_power(g.level, d, 1), f"r{g.level}")
-    if g.kind == NOT:
-        return single_site_operator(n, d, g.target, shift_matrix(d), NOT)
-    if g.kind == CNOT:
-        shifts = [np.linalg.matrix_power(shift_matrix(d), ell) for ell in range(d)]
-        terms = tuple(
-            embed_term(n, d, {g.control: basis_projector(ell, d), g.target: shift})
-            for ell, shift in enumerate(shifts)
-        )
-        return StructuredOperator(n, d, terms, label=CNOT)
-    # swap: sum over basis pairs of |a><b| (x) |b><a|; units[a, b] is |a><b|
-    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
-    terms = tuple(
-        embed_term(n, d, {g.target: units[a, b], g.control: units[b, a]})
-        for a in range(d)
-        for b in range(d)
-    )
-    return StructuredOperator(n, d, terms, label=SWAP)
-
-
-def _step_to_gate(step: PlanStep, d: int) -> Gate:
-    if isinstance(step, factorize.FourierStep):
-        return Gate(HADAMARD if d == 2 else FOURIER, target=step.site)
-    if isinstance(step, factorize.CPhaseStep):
-        return Gate(CPHASE, target=step.target, control=step.control, level=step.level)
-    raise ValueError(f"plan step {step!r} is not a one- or two-site gate")
+    if g.kind == HADAMARD and d != 2:
+        raise ValueError("hadamard is a qubit gate; use fourier for d > 2")
+    return g.operator(n, d)
 
 
 def lower_to_circuit(plan: FactorizationPlan, swap_style: str = KEEP_SWAP) -> Circuit:
@@ -197,7 +144,12 @@ def lower_to_circuit(plan: FactorizationPlan, swap_style: str = KEEP_SWAP) -> Ci
         raise ValueError(f"unknown swap style {swap_style!r}")
     if swap_style == THREE_CNOT and plan.d != 2:
         raise ValueError("the three-CNOT swap decomposition applies to qubits only")
-    gates = [_step_to_gate(step, plan.d) for step in plan.steps]
+    gates = []
+    for step in plan.steps:
+        if not isinstance(step, _LocalStep):
+            raise ValueError(f"plan step {step!r} is not a one- or two-site gate")
+        kind = HADAMARD if step.kind == FOURIER and plan.d == 2 else step.kind
+        gates.append(Gate(kind, step.target, step.control, step.level))
     for i in range(plan.n // 2):
         a, b = i, plan.n - 1 - i
         if swap_style == KEEP_SWAP:
@@ -339,7 +291,11 @@ def equivalent_variants(
         attempts = 0
         while len(keys) < limit and attempts < 50 * limit:
             attempts += 1
-            mask = int(rng.integers(0, flip_total)) if do_flips else 0
+            if flip_total > 2**63:  # past int64: one random bit per controlled-R gate
+                bits = rng.integers(0, 2, len(cr_indices))
+                mask = sum(int(bit) << b for b, bit in enumerate(bits))
+            else:
+                mask = int(rng.integers(0, flip_total)) if do_flips else 0
             perms = tuple(tuple(rng.permutation(len(run))) for run in runs)
             key = (mask, perms)
             if key not in seen:

@@ -17,7 +17,8 @@ later site (``"target-first"``).
 A plan is stored as a tuple of step records (``ButterflyStep``,
 ``FourierStep``, ``CPhaseStep``).  Serialisation and lowering read the
 records; dense application builds their operators (``.factors``) on first
-use, each with the kernel form its step declares.
+use, each with the kernel form its step declares.  Fourier and controlled-phase
+steps share one account of each kind with circuit gates (``_LocalStep``).
 """
 from __future__ import annotations
 
@@ -53,6 +54,15 @@ ORIENTATIONS = (CONTROL_FIRST, TARGET_FIRST)
 
 PLAN_SCHEMA_VERSION = 1
 
+#: Kinds of one- and two-site steps (``_LocalStep``): plan steps and gates.
+HADAMARD = "hadamard"
+FOURIER = "fourier"
+PHASE = "phase"
+NOT = "not"
+CPHASE = "cphase"
+CNOT = "cnot"
+SWAP = "swap"
+
 #: Bytes of one column block of a dense plan product (``_product_blocks``).
 #: Measured: a block up to N = 768 is the whole matrix (more blocks slowed
 #: small products), and at N = 4096 ``verify_plan`` stays near 25 MiB.
@@ -61,6 +71,11 @@ _BLOCK_BYTES = 12 << 20
 
 class PlanFormatError(ValueError):
     """A serialized plan document is malformed."""
+
+
+def shift_matrix(d: int) -> np.ndarray:
+    """Cyclic increment on a d-level site; the Pauli X for d = 2."""
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
 
 
 class _Step:
@@ -116,63 +131,94 @@ class ButterflyStep(_Step):
         return n - 1 - self.stage, list(np.eye(d, dtype=bool))
 
 
+class _LocalStep(_Step):
+    """A one- or two-site step of a ``kind``, on a ``target`` and (two-site kinds)
+    a ``control`` wire, with an R ``level`` (phase kinds): plan steps and
+    circuit gates share this one account of each kind's terms and form."""
+
+    @property
+    def wires(self) -> tuple[int, ...]:
+        return (self.target,) if self.control is None else (self.control, self.target)
+
+    def sites(self, n: int) -> tuple[int, ...]:
+        return self.wires
+
+    def label(self, n: int) -> str:
+        if self.kind in (HADAMARD, FOURIER):
+            return f"fourier@{self.target + 1}"
+        if self.kind == PHASE:
+            return f"r{self.level}"
+        if self.kind == CPHASE:
+            return f"cr{self.level}@{self.control + 1}>{self.target + 1}"
+        return self.kind
+
+    def term_count(self, d: int) -> int:
+        return d * d if self.kind == SWAP else d if self.control is not None else 1
+
+    def _pairs(self, n: int, d: int) -> list:
+        """One-site kinds give one term.  A two-site kind gives one term per
+        (control, target) matrix pair; ``None`` on the target is the identity."""
+        if self.kind in (HADAMARD, FOURIER):
+            return [[(self.target, fourier_gate(d))]]
+        if self.kind == NOT:
+            return [[(self.target, _frozen_complex(shift_matrix(d)))]]
+        if self.kind == PHASE:
+            phase = _phase_gate(self.level, d, 1)
+            return [[] if phase is None else [(self.target, phase)]]
+        controls = [basis_projector(ell, d) for ell in range(d)]
+        if self.kind == SWAP:  # |b><a| on the control with |a><b| on the target
+            units = _frozen_complex(np.eye(d * d).reshape(d, d, d, d))  # units[a, b] is |a><b|
+            controls = [units[b, a] for a in range(d) for b in range(d)]
+            targets = [units[a, b] for a in range(d) for b in range(d)]
+        elif self.kind == CNOT:  # E_l on the control with S^l on the target (the SUM gate)
+            powers = (np.linalg.matrix_power(shift_matrix(d), ell) for ell in range(1, d))
+            targets = [None, *map(_frozen_complex, powers)]
+        else:  # cphase: E_l on the control with R_level^l on the target
+            targets = [_phase_gate(self.level, d, ell) for ell in range(d)]
+        terms = [[(self.control, on_control)] for on_control in controls]
+        for pairs, on_target in zip(terms, targets):
+            if on_target is not None:
+                pairs.insert(self.target > self.control, (self.target, on_target))  # site order
+        return terms
+
+    def _form(self, n: int, d: int) -> tuple | None:
+        if self.kind in (PHASE, CPHASE):
+            return None, None
+        # One dense matrix owns every row of its site; cnot and swap have no form.
+        return (self.target, [np.ones(d, dtype=bool)]) if self.control is None else None
+
+
 @dataclass(frozen=True)
-class FourierStep(_Step):
-    """The d x d Fourier gate on one site (0-based)."""
+class FourierStep(_LocalStep):
+    """The d x d Fourier gate on one site (0-based), the step's ``target``."""
 
     site: int
 
-    def sites(self, n: int) -> tuple[int, ...]:
-        return (self.site,)
+    kind = FOURIER
+    control = level = None
+
+    @property
+    def target(self) -> int:
+        return self.site
 
     def to_dict(self) -> dict:
         return {"op": "fourier", "site": self.site}
 
-    def label(self, n: int) -> str:
-        return f"fourier@{self.site + 1}"
-
-    def term_count(self, d: int) -> int:
-        return 1
-
-    def _pairs(self, n: int, d: int) -> list:
-        return [[(self.site, fourier_gate(d))]]
-
-    def _form(self, n: int, d: int) -> tuple:
-        return self.site, [np.ones(d, dtype=bool)]
-
 
 @dataclass(frozen=True)
-class CPhaseStep(_Step):
+class CPhaseStep(_LocalStep):
     """Controlled phase: sum over l of ``E_l`` on ``control`` with ``R_level**l`` on ``target``."""
 
     control: int
     target: int
     level: int
 
-    def sites(self, n: int) -> tuple[int, ...]:
-        return (self.control, self.target)
+    kind = CPHASE
 
     def to_dict(self) -> dict:
         return {
             "op": "cphase", "level": self.level, "control": self.control, "target": self.target
         }
-
-    def label(self, n: int) -> str:
-        return f"cr{self.level}@{self.control + 1}>{self.target + 1}"
-
-    def term_count(self, d: int) -> int:
-        return d
-
-    def _pairs(self, n: int, d: int) -> list:
-        """Projectors on ``control``, R powers on ``target``: one term per control level."""
-        terms = [[(self.control, basis_projector(ell, d))] for ell in range(d)]
-        for ell, pairs in enumerate(terms):
-            if (phase := _phase_gate(self.level, d, ell)) is not None:
-                pairs.insert(self.target > self.control, (self.target, phase))  # site order
-        return terms
-
-    def _form(self, n: int, d: int) -> tuple:
-        return None, None
 
 
 PlanStep = ButterflyStep | FourierStep | CPhaseStep

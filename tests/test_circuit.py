@@ -3,9 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronfft import (
     CONTROL_FIRST,
+    KEEP_SWAP,
+    ORIENTATIONS,
     TARGET_FIRST,
     THREE_CNOT,
     CPhaseStep,
@@ -14,6 +18,7 @@ from kronfft import (
     DenseLimitError,
     FourierStep,
     Gate,
+    StructuredOperator,
     adjoint,
     apply_structured,
     basis_projector,
@@ -21,20 +26,67 @@ from kronfft import (
     count_gates,
     deserialize,
     dft_matrix,
+    embed_term,
     equivalent_variants,
     expand,
+    fft_apply,
     fft_plan,
     gate_unitary,
     lower_to_circuit,
+    plan_from_json,
+    plan_to_json,
     qft_count_formulas,
     qft_plan,
+    r_gate_power,
     render_text,
     serialize,
     shift_matrix,
     simulate_dense,
+    single_site_operator,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def _every_gate(n: int, d: int) -> list:
+    """Every gate kind on ``n >= 3`` wires, two-wire kinds both ways round, and
+    the R levels 1, 3 and 1100 (R_1100 and its powers are the identity at d = 2)."""
+    gates = [Gate("fourier", 0), Gate("not", n - 1)]
+    gates += [Gate("phase", 1, level=level) for level in (1, 3, 1100)]
+    for control, target in ((0, 2), (2, 1)):
+        gates += [Gate("cphase", target, control, level) for level in (1, 3, 1100)]
+        gates += [Gate("cnot", target, control), Gate("swap", target, control)]
+    return gates + ([Gate("hadamard", 1)] if d == 2 else [])
+
+
+def _embedded_gate(g: Gate, n: int, d: int) -> StructuredOperator:
+    """A gate's operator built kind by kind from ``embed_term`` and
+    ``single_site_operator``, identity factors dropped."""
+    if g.kind in ("hadamard", "fourier"):
+        return single_site_operator(n, d, g.target, dft_matrix(d), f"fourier@{g.target + 1}")
+    if g.kind == "phase":
+        return single_site_operator(n, d, g.target, r_gate_power(g.level, d, 1), f"r{g.level}")
+    if g.kind == "not":
+        return single_site_operator(n, d, g.target, shift_matrix(d), "not")
+    if g.kind == "cphase":
+        label = f"cr{g.level}@{g.control + 1}>{g.target + 1}"
+        on_target = [r_gate_power(g.level, d, ell) for ell in range(d)]
+    elif g.kind == "cnot":
+        label = "cnot"
+        on_target = [np.linalg.matrix_power(shift_matrix(d), ell) for ell in range(d)]
+    else:
+        units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[a, b] is |a><b|
+        terms = [
+            embed_term(n, d, {g.target: units[a, b], g.control: units[b, a]})
+            for a in range(d)
+            for b in range(d)
+        ]
+        return StructuredOperator(n, d, tuple(terms), "swap")
+    terms = [
+        embed_term(n, d, {g.control: basis_projector(ell, d), g.target: m})
+        for ell, m in enumerate(on_target)
+    ]
+    return StructuredOperator(n, d, tuple(terms), label)
 
 
 class TestLowering:
@@ -193,6 +245,19 @@ class TestGateUnitary:
             assert t.coefficient == u.coefficient
             assert [i for i, _ in t.site_matrices] == [i for i, _ in u.site_matrices]
             assert all(a is b for (_, a), (_, b) in zip(t.site_matrices, u.site_matrices))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_every_kind_matches_its_embedded_terms(self, d):
+        # Each kind's operator, built as the per-kind embedding of its matrices.
+        for g in _every_gate(3, d):
+            op, want = gate_unitary(g, 3, d), _embedded_gate(g, 3, d)
+            assert op.label == want.label, g
+            assert [t.coefficient for t in op.terms] == [t.coefficient for t in want.terms], g
+            for t, u in zip(op.terms, want.terms, strict=True):
+                assert [i for i, _ in t.site_matrices] == [i for i, _ in u.site_matrices], g
+                for (_, a), (_, b) in zip(t.site_matrices, u.site_matrices):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), g
+                    assert not a.flags.writeable, g
 
     def test_shift_matrix_is_cyclic(self):
         s = shift_matrix(3)
@@ -380,6 +445,18 @@ class TestEquivalentVariants:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "5356dc3ce36679c65e541f745f1a4f5c7604f48062676e75a0e9623b8a6fbf4d"
 
+    @pytest.mark.parametrize("policy", ["swap-control-target", "both"])
+    def test_sampling_past_64_controlled_gates(self, policy):
+        # 66 controlled-R gates: 2**66 flip masks, more than an int64 holds.
+        c = lower_to_circuit(qft_plan(12, 2))
+        variants = equivalent_variants(c, policy, seed=4, limit=5)
+        assert len(set(variants)) == len(variants) == 5 and variants[0] == c
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(c.dim) + 1j * rng.standard_normal(c.dim)
+        want = simulate_dense(c, x)
+        for v in variants[1:]:
+            assert np.max(np.abs(simulate_dense(v, x) - want)) < 1e-12
+
     def test_sampled_variants_stay_equivalent(self):
         c = lower_to_circuit(qft_plan(4, 2))
         u0 = circuit_unitary(c)
@@ -518,6 +595,43 @@ class TestSerialization:
             deserialize(json.dumps({"version": 2, "n": 1, "d": 2, "gates": []}))
         with pytest.raises(CircuitFormatError):
             deserialize("[1, 2")
+
+
+@st.composite
+def loadable_qft_documents(draw):
+    """A plan document of random Fourier and controlled-phase steps, possibly none."""
+    n, d = draw(st.integers(1, 4)), draw(st.sampled_from([2, 3, 5]))
+    factors = []
+    for _ in range(draw(st.integers(0, 8))):
+        site = draw(st.integers(0, n - 1))
+        if n == 1 or draw(st.booleans()):
+            factors.append({"op": "fourier", "site": site})
+        else:
+            target = (site + draw(st.integers(1, n - 1))) % n
+            level = draw(st.one_of(st.integers(1, 12), st.just(1100)))
+            factors.append({"op": "cphase", "level": level, "control": site, "target": target})
+    orientation = draw(st.sampled_from(ORIENTATIONS))
+    return {"version": 1, "kind": "qft", "n": n, "d": d, "orientation": orientation,
+            "factors": factors}
+
+
+class TestLoadedPlanLowering:
+    """A loaded QFT plan's steps lower to gates that are the same records: the
+    lowered circuit transforms a batch bit for bit as ``fft_apply`` does."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(doc=loadable_qft_documents(), seed=st.integers(0, 2**32 - 1))
+    def test_round_trips_and_lowered_bits(self, doc, seed):
+        text = json.dumps(doc)
+        plan = plan_from_json(text)
+        assert plan_to_json(plan) == text
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((plan.dim, 2)) + 1j * rng.standard_normal((plan.dim, 2))
+        want = fft_apply(plan, x).tobytes()
+        for style in (KEEP_SWAP, THREE_CNOT) if plan.d == 2 else (KEEP_SWAP,):
+            c = lower_to_circuit(plan, style)
+            assert deserialize(serialize(c)) == c
+            assert simulate_dense(c, x).tobytes() == want
 
 
 class TestGateValidation:

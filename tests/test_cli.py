@@ -289,6 +289,70 @@ class TestCircuit:
         assert "qubits" in err
 
 
+# sha256 of `kronfft circuit` stdout (first 16 hex digits), recorded when each
+# gate kind still built its operator on its own: gates that share the plan
+# steps' record must not change a byte.
+CIRCUIT_OUTPUT_SHA256 = [
+    ("1", "2", "control-first", "keep-swap", "text", False, "4ba45de1c5b66f5e"),
+    ("1", "2", "control-first", "keep-swap", "text", True, "ac2fa1b8237b4540"),
+    ("1", "2", "control-first", "keep-swap", "json", False, "675531bbcb167238"),
+    ("1", "2", "control-first", "keep-swap", "json", True, "8015538fc25a001f"),
+    ("1", "2", "control-first", "three-cnot", "text", False, "4ba45de1c5b66f5e"),
+    ("1", "2", "control-first", "three-cnot", "text", True, "ac2fa1b8237b4540"),
+    ("1", "2", "control-first", "three-cnot", "json", False, "675531bbcb167238"),
+    ("1", "2", "control-first", "three-cnot", "json", True, "8015538fc25a001f"),
+    ("1", "2", "target-first", "keep-swap", "text", False, "4ba45de1c5b66f5e"),
+    ("1", "2", "target-first", "keep-swap", "text", True, "ac2fa1b8237b4540"),
+    ("1", "2", "target-first", "keep-swap", "json", False, "675531bbcb167238"),
+    ("1", "2", "target-first", "keep-swap", "json", True, "8015538fc25a001f"),
+    ("1", "2", "target-first", "three-cnot", "text", False, "4ba45de1c5b66f5e"),
+    ("1", "2", "target-first", "three-cnot", "text", True, "ac2fa1b8237b4540"),
+    ("1", "2", "target-first", "three-cnot", "json", False, "675531bbcb167238"),
+    ("1", "2", "target-first", "three-cnot", "json", True, "8015538fc25a001f"),
+    ("1", "3", "control-first", "keep-swap", "text", False, "b20f6b3471f4b757"),
+    ("1", "3", "control-first", "keep-swap", "text", True, "38c69a06afa0af48"),
+    ("1", "3", "control-first", "keep-swap", "json", False, "ec7e5da7267704da"),
+    ("1", "3", "control-first", "keep-swap", "json", True, "46c4ca10a82b8e20"),
+    ("1", "3", "target-first", "keep-swap", "text", False, "b20f6b3471f4b757"),
+    ("1", "3", "target-first", "keep-swap", "text", True, "38c69a06afa0af48"),
+    ("1", "3", "target-first", "keep-swap", "json", False, "ec7e5da7267704da"),
+    ("1", "3", "target-first", "keep-swap", "json", True, "46c4ca10a82b8e20"),
+    ("4", "2", "control-first", "keep-swap", "text", False, "0be0e1771aad6eef"),
+    ("4", "2", "control-first", "keep-swap", "text", True, "e372580b62999e28"),
+    ("4", "2", "control-first", "keep-swap", "json", False, "88ffce32f2903f1e"),
+    ("4", "2", "control-first", "keep-swap", "json", True, "0d329bd10b7b6671"),
+    ("4", "2", "control-first", "three-cnot", "text", False, "4a2e5e46776cabfb"),
+    ("4", "2", "control-first", "three-cnot", "text", True, "7f03132e238c39e1"),
+    ("4", "2", "control-first", "three-cnot", "json", False, "abc4d938a9c095b2"),
+    ("4", "2", "control-first", "three-cnot", "json", True, "0ffce182e089fa51"),
+    ("4", "2", "target-first", "keep-swap", "text", False, "d51cd72d2538808c"),
+    ("4", "2", "target-first", "keep-swap", "text", True, "5ebf39085adc68cc"),
+    ("4", "2", "target-first", "keep-swap", "json", False, "4cf716590c060ee9"),
+    ("4", "2", "target-first", "keep-swap", "json", True, "10189c320deb8f5d"),
+    ("4", "2", "target-first", "three-cnot", "text", False, "c6539794d01ce9d5"),
+    ("4", "2", "target-first", "three-cnot", "text", True, "9eee812a3c5bbb60"),
+    ("4", "2", "target-first", "three-cnot", "json", False, "1f6826935b71dd69"),
+    ("4", "2", "target-first", "three-cnot", "json", True, "9047134cedaa4028"),
+    ("4", "3", "control-first", "keep-swap", "text", False, "8e4d95c9d6dbf287"),
+    ("4", "3", "control-first", "keep-swap", "text", True, "b9e5ef59bd7f18e6"),
+    ("4", "3", "control-first", "keep-swap", "json", False, "418b48a7efbc75f0"),
+    ("4", "3", "control-first", "keep-swap", "json", True, "37c5ce0052014cb6"),
+    ("4", "3", "target-first", "keep-swap", "text", False, "7dd497d6f4d306b9"),
+    ("4", "3", "target-first", "keep-swap", "text", True, "0f9893787e210c1a"),
+    ("4", "3", "target-first", "keep-swap", "json", False, "0c2a8595a6c6c2ab"),
+    ("4", "3", "target-first", "keep-swap", "json", True, "55a4dbc220557a1e"),
+]
+
+
+@pytest.mark.parametrize("n,d,orientation,style,fmt,counts,digest", CIRCUIT_OUTPUT_SHA256)
+def test_circuit_output_bytes(capsys, n, d, orientation, style, fmt, counts, digest):
+    code, out, _ = run(
+        capsys, "circuit", "--n", n, "--d", d, "--orientation", orientation,
+        "--swap-style", style, "--format", fmt, *(["--counts"] if counts else []),
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
 class TestSimulate:
     def test_basis_input_gives_uniform_output(self, capsys):
         code, out, _ = run(capsys, "simulate", "--n", "3", "--basis", "000")

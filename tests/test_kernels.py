@@ -41,6 +41,8 @@ from kronfft import factorize, tensor
 from kronfft.spectral import fourier_gate
 from kronfft.tensor import _SHORT_REST, _compile
 
+from test_circuit import _every_gate
+
 #: Operator shapes that compile to one contraction plus one diagonal.
 COMPILED = ("single-dense", "butterfly", "diagonal")
 #: Operator shapes that keep the term-by-term path.
@@ -477,10 +479,14 @@ class TestStepKernels:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_step_kernel_equals_compiled_operator(self, n, d):
         plans = (fft_plan(n, d), qft_plan(n, d, "control-first"), qft_plan(n, d, "target-first"))
-        for plan in plans:
-            for step in plan.steps:
-                declared = step.operator(n, d)._kernel
-                _assert_same_kernel(declared, _compile(step.operator(n, d)), step)
+        gates = _every_gate(n, d) if n >= 3 else []
+        for step in [step for plan in plans for step in plan.steps] + gates:
+            compiled = _compile(step.operator(n, d))
+            if step._form(n, d) is None:  # cnot and swap declare no form, and have none
+                assert step.kind in ("cnot", "swap") and compiled is None, step
+                continue
+            declared = step.operator(n, d)._kernel
+            _assert_same_kernel(declared, compiled, step)
 
     def test_loaded_plan_with_phase_free_cphase(self):
         # R_1100 and its powers equal the identity at d = 2, so that step's
@@ -509,6 +515,10 @@ class TestStepKernels:
             if plan.kind == "qft":
                 # Lowered gates are the steps' operators, and swaps are transposes.
                 circuit_unitary(lower_to_circuit(plan))
+        # Phase and not gates declare their forms too; only cnot compiles.
+        circuit = Circuit(3, 3, tuple(g for g in _every_gate(3, 3) if g.kind != "cnot"))
+        simulate_dense(circuit, np.arange(27, dtype=complex))
+        circuit_unitary(circuit)
 
     def test_dense_application_matches_factor_chain(self):
         for plan in _fresh_plans():
