@@ -8,10 +8,10 @@ the term weight; a projector that annihilates a site vector zeroes the whole
 term (the vector is replaced by a basis placeholder so the representation
 stays well formed for the no-prune experiments).
 
-Structured operators apply to all terms at once, one batched site-local
-product per operator term and non-identity site, so the cost per term is
-independent of the global dimension; the price is that the number of terms
-can grow with every controlled factor.
+Structured operators apply to all terms at once, as one batch of site-local
+products over every (operator term, non-identity site) pair, so the cost
+per term is independent of the global dimension; the price is that the
+number of terms can grow with every controlled factor.
 """
 from __future__ import annotations
 
@@ -155,9 +155,12 @@ def random_rank_one(
     """Seeded generic rank-1 state: complex Gaussian site vectors, renormalized.
 
     Genericity is enforced by resampling any site vector with a component of
-    magnitude <= ``min_component``, so projector branches never vanish by
-    accident.
+    magnitude <= ``min_component`` times its norm, so projector branches
+    never vanish by accident.  A vector's smallest component is at most
+    ``1/sqrt(d)`` times its norm, so ``min_component`` lies in ``[0, 1/sqrt(d))``.
     """
+    if not 0 <= min_component < d**-0.5:
+        raise ValueError(f"min_component must lie in [0, 1/sqrt({d})), got {min_component}")
     rng = np.random.default_rng(seed)
     vectors = []
     for _ in range(n):
@@ -169,19 +172,18 @@ def random_rank_one(
     return CPState(n, d, (RankOneTerm(1.0, tuple(vectors)),))
 
 
-def _normalize(weights: np.ndarray, vectors: np.ndarray, sites=True):
-    """Fold site-vector norms into the weights, as ``RankOneTerm`` does.
+def _normalize(vectors: np.ndarray):
+    """Site-vector norms and unit vectors, as ``RankOneTerm`` forms them.
 
-    ``weights`` has shape ``S`` and ``vectors`` shape ``S + (n, d)``; only
-    the sites where the mask ``sites`` (broadcast to ``S + (n,)``) is true
-    are rescaled.  A zero site vector zeroes its weight and becomes the
-    first basis vector.  Returns new arrays.
+    ``vectors`` has shape ``S + (d,)``; returns the norms, of shape ``S``,
+    and new unit vectors.  A zero vector has norm 0 and becomes the first
+    basis vector.
     """
-    norms = np.where(sites, np.linalg.norm(vectors, axis=-1), 1.0)
+    norms = np.linalg.norm(vectors, axis=-1)
     zero = norms == 0
     vectors = vectors / np.where(zero, 1.0, norms)[..., None]
     vectors[zero] = np.eye(1, vectors.shape[-1])
-    return weights * np.prod(norms, axis=-1), vectors
+    return norms, vectors
 
 
 def _kron_rows(vectors: np.ndarray) -> np.ndarray:
@@ -213,26 +215,33 @@ def apply_op_cp(op: StructuredOperator, s: CPState, prune: float = 1e-14) -> CPS
 
     Every (state term, operator term) pair yields one candidate output term,
     in state-term-major order: the state's site vectors with each
-    non-identity factor of the operator term applied on its site, as one
-    batched product over all state terms.  Terms whose weight magnitude falls
-    below ``prune`` times the largest weight are dropped (the first candidate
-    stays if none is left); ``prune = 0`` keeps everything, including exact
-    zeros.
+    non-identity factor of the operator term applied on its site, all such
+    (operator term, site) products as one batch over the state terms.  Only
+    those vectors are renormalised; the sites a term leaves out keep the
+    state's unit vectors.  Terms whose weight magnitude falls below
+    ``prune`` times the largest weight are dropped (the first candidate
+    stays if none is left); ``prune = 0`` keeps everything, including zeros.
     """
     if (op.n_sites, op.local_dim) != (s.n, s.d):
         raise ValueError("operator and state site structures do not match")
     if not op.terms:
         raise ValueError("operator has no terms")
-    k = len(op.terms)
-    vectors = np.repeat(s.vectors[:, None], k, axis=1)
-    touched = np.zeros((k, s.n), dtype=bool)
-    for j, term in enumerate(op.terms):
-        for i, f in term.site_matrices:
-            touched[j, i] = True
-            vectors[:, j, i] = s.vectors[:, i] @ f.T
-    coefficients = np.array([t.coefficient for t in op.terms])
-    weights, vectors = _normalize(s.weights[:, None] * coefficients, vectors, touched)
-    weights = weights.reshape(-1)
+    return _apply_terms(s, [(t.coefficient, t.site_matrices) for t in op.terms], prune)
+
+
+def _apply_terms(s: CPState, terms, prune: float) -> CPState:
+    """``apply_op_cp``'s kernel on unchecked ``(coefficient, (site, matrix) pairs)`` terms."""
+    vectors = np.repeat(s.vectors[:, None], len(terms), axis=1)
+    norms = np.ones(vectors.shape[:-1])  # 1 on the untouched sites, whose vectors are unit
+    touched = [(j, i, f) for j, (_, pairs) in enumerate(terms) for i, f in pairs]
+    if touched:  # per pair, ``s.vectors[:, i] @ f.T`` as one (T, d) @ (d, d) product
+        ids, sites, factors = zip(*touched)
+        products = s.vectors[:, sites].swapaxes(0, 1) @ np.array(factors).swapaxes(1, 2)
+        products_norms, products = _normalize(products)
+        norms[:, ids, sites] = products_norms.T
+        vectors[:, ids, sites] = products.swapaxes(0, 1)
+    coefficients = np.array([c for c, _ in terms], dtype=complex)
+    weights = (s.weights[:, None] * coefficients * norms.prod(axis=-1)).reshape(-1)
     vectors = vectors.reshape(-1, s.n, s.d)
     if prune > 0:
         magnitudes = np.abs(weights)
@@ -324,7 +333,8 @@ def compress(s: CPState, tol: float = 1e-12, svd: bool = True) -> CPState:
             weights = svals[rank].astype(complex)
         else:
             rank, weights = [0], np.zeros(1, dtype=complex)
-        weights, vectors = _normalize(weights, np.stack([u[:, rank].T, vh[rank]], axis=1))
+        norms, vectors = _normalize(np.stack([u[:, rank].T, vh[rank]], axis=1))
+        weights = weights * np.prod(norms, axis=-1)
         return CPState._from_arrays(s.n, s.d, weights, vectors)
     weights, vectors = _merge_parallel(weights, vectors, tol)
     magnitudes = np.abs(weights)
@@ -395,8 +405,10 @@ def qft_rank_experiment(
 ) -> RankTrajectory:
     """Run the full QFT plan on a CP state, recording term counts per factor.
 
-    The final state is checked densely against the brute-force DFT of the
-    input, so the global dimension must stay within the dense limit.
+    Each step record's terms feed the ``apply_op_cp`` kernel directly, with
+    the bits of ``apply_op_cp`` over ``plan.factors``.  The final state is
+    checked densely against the brute-force DFT of the input, so the global
+    dimension must stay within the dense limit.
     """
     if (state.n, state.d) != (n, d):
         raise ValueError("state does not match the requested site structure")
@@ -404,15 +416,15 @@ def qft_rank_experiment(
     expected = _dft_product(cp_to_dense(state, dense_limit=dense_limit), dense_limit=dense_limit)
     plan = qft_plan(n, d, orientation)
     steps = []
-    for i, f in enumerate(plan.factors):
+    for i, step in enumerate(plan.steps):
         start = time.perf_counter()
-        state = apply_op_cp(f, state, prune)
+        state = _apply_terms(state, [(1, pairs) for pairs in step._pairs(n, d)], prune)
         elapsed = (time.perf_counter() - start) * 1e3
-        steps.append(TrajectoryStep(i, f.label, state.term_count, elapsed))
+        steps.append(TrajectoryStep(i, step.label(n), state.term_count, elapsed))
     start = time.perf_counter()
     state = state.reverse_sites()
     elapsed = (time.perf_counter() - start) * 1e3
-    steps.append(TrajectoryStep(len(plan.factors), "digit-reversal", state.term_count, elapsed))
+    steps.append(TrajectoryStep(len(plan.steps), "digit-reversal", state.term_count, elapsed))
     residual = float(
         np.max(np.abs(cp_to_dense(state, dense_limit=dense_limit) - expected))
     )

@@ -21,12 +21,14 @@ from kronfft import (
     compress,
     cp_basis_state,
     cp_to_dense,
+    dft_matrix,
     diagonal_cascade_cp,
     diagonal_decomposition,
     embed_term,
     expand,
     identity,
     kron_all,
+    qft_plan,
     qft_rank_experiment,
     r_gate,
     random_rank_one,
@@ -398,6 +400,30 @@ class TestGenericInputs:
         s = random_rank_one(4, 3, seed=3)
         assert abs(np.linalg.norm(cp_to_dense(s)) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_min_component_at_or_past_the_bound_raises(self, d):
+        # A vector's smallest component is at most 1/sqrt(d) of its norm, so
+        # resampling could never end; the check runs before any draw.
+        for bad in (d**-0.5, 0.71, 1.0, -1e-9, float("nan")):
+            with pytest.raises(ValueError, match="min_component"):
+                random_rank_one(2, d, min_component=bad)
+
+    def test_valid_min_component_keeps_the_seeded_state(self):
+        # The documented resampling loop, drawn by hand from the same seed.
+        rng = np.random.default_rng(11)
+        vectors = []
+        for _ in range(3):
+            while True:
+                v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                if np.min(np.abs(v)) > 0.5 * np.linalg.norm(v):
+                    break
+            vectors.append(v / np.linalg.norm(v))
+        want = CPState(3, 2, (RankOneTerm(1.0, tuple(vectors)),))
+        got = random_rank_one(3, 2, seed=11, min_component=0.5)
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert random_rank_one(2, 3, seed=1, min_component=0).term_count == 1
+
 
 # -- array storage ---------------------------------------------------------------
 
@@ -520,6 +546,113 @@ class TestArrayStorage:
         )
         assert np.max(np.abs(cp_to_dense(renormalized) - cp_to_dense(out))) < 1e-12
         assert np.max(np.abs(cp_to_dense(out) - dense_by_digit_indexing(out))) < 1e-12
+
+
+# -- bitwise reference kernel ----------------------------------------------------------
+
+
+def _reference_normalize(weights, vectors, sites=True):
+    """The all-sites renormalisation: every site's norm, every vector divided."""
+    norms = np.where(sites, np.linalg.norm(vectors, axis=-1), 1.0)
+    zero = norms == 0
+    vectors = vectors / np.where(zero, 1.0, norms)[..., None]
+    vectors[zero] = np.eye(1, vectors.shape[-1])
+    return weights * np.prod(norms, axis=-1), vectors
+
+
+def reference_apply_op_cp(op, s, prune=1e-14):
+    """The loop version of ``apply_op_cp``: one product per (operator term, site)."""
+    k = len(op.terms)
+    vectors = np.repeat(s.vectors[:, None], k, axis=1)
+    touched = np.zeros((k, s.n), dtype=bool)
+    for j, term in enumerate(op.terms):
+        for i, f in term.site_matrices:
+            touched[j, i] = True
+            vectors[:, j, i] = s.vectors[:, i] @ f.T
+    coefficients = np.array([t.coefficient for t in op.terms])
+    weights, vectors = _reference_normalize(s.weights[:, None] * coefficients, vectors, touched)
+    weights = weights.reshape(-1)
+    vectors = vectors.reshape(-1, s.n, s.d)
+    if prune > 0:
+        magnitudes = np.abs(weights)
+        wmax = magnitudes.max()
+        keep = magnitudes >= prune * wmax if wmax > 0 else np.zeros(weights.shape, dtype=bool)
+        if not keep.any():
+            keep[0] = True
+        if not keep.all():
+            weights, vectors = weights[keep], vectors[keep]
+    return CPState._from_arrays(s.n, s.d, weights, vectors)
+
+
+class TestReferenceKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 3, 5]),
+        prune=st.sampled_from([0.0, 1e-14]),
+    )
+    def test_same_bits_as_the_loop_version(self, seed, d, prune):
+        op, s = _random_case(seed, d)
+        got, want = apply_op_cp(op, s, prune), reference_apply_op_cp(op, s, prune)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+
+    def test_qft_chain_same_bits(self):
+        got = want = random_rank_one(8, 2, seed=3)
+        for f in qft_plan(8, 2).factors:
+            got, want = apply_op_cp(f, got), reference_apply_op_cp(f, want)
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.vectors.tobytes() == want.vectors.tobytes()
+
+    def test_operator_with_no_stored_site(self):
+        op = StructuredOperator(2, 2, (KronTerm(0.5j, (identity(2), identity(2))),))
+        s = random_state(np.random.default_rng(5), 2, 2, 3)
+        got, want = apply_op_cp(op, s, 0.0), reference_apply_op_cp(op, s, 0.0)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+
+    def test_untouched_site_keeps_a_negative_zero(self):
+        # Negating a basis vector stores -0.0+0.0j.  The all-sites division by
+        # 1 turned that into +0.0 on a site the operator leaves out; the copy
+        # keeps it.  The values are equal.
+        s = CPState(2, 2, [RankOneTerm(1.0, (-np.eye(2, dtype=complex)[1], np.eye(2)[0]))])
+        op = StructuredOperator(2, 2, (KronTerm(1.0, (identity(2), basis_projector(0, 2))),))
+        got, want = apply_op_cp(op, s, 0.0), reference_apply_op_cp(op, s, 0.0)
+        np.testing.assert_array_equal(got.vectors, want.vectors)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.vectors[:, 0].tobytes() == s.vectors[:, 0].tobytes()
+        assert np.signbit(got.vectors[0, 0, 0].real) and not np.signbit(want.vectors[0, 0, 0].real)
+
+    @pytest.mark.parametrize("orientation", [CONTROL_FIRST, TARGET_FIRST])
+    @pytest.mark.parametrize("n,d", [(8, 2), (6, 3), (4, 5)])
+    def test_experiment_equals_public_calls(self, n, d, orientation):
+        # The public calls are apply_op_cp over plan.factors, the digit
+        # reversal and the dense check against the DFT matrix.
+        state = random_rank_one(n, d, seed=n + d)
+        report = qft_rank_experiment(n, d, state, orientation=orientation)
+        plan = qft_plan(n, d, orientation)
+        expected = dft_matrix(state.dim) @ cp_to_dense(state)
+        steps = []
+        for f in plan.factors:
+            state = apply_op_cp(f, state)
+            steps.append((f.label, state.term_count))
+        state = state.reverse_sites()
+        steps.append(("digit-reversal", state.term_count))
+        assert [(s.factor_label, s.term_count) for s in report.steps] == steps
+        assert report.residual == float(np.max(np.abs(cp_to_dense(state) - expected)))
+
+    def test_experiment_builds_no_operator(self, monkeypatch):
+        plans = []
+
+        def build(*args):
+            plans.append(real(*args))
+            return plans[-1]
+
+        real = cpstate.qft_plan
+        monkeypatch.setattr(cpstate, "qft_plan", build)
+        qft_rank_experiment(4, 2, random_rank_one(4, 2, seed=2))
+        (plan,) = plans
+        assert "factors" not in plan.__dict__
 
 
 # -- term-count trajectories ---------------------------------------------------------
