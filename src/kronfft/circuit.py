@@ -11,17 +11,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .tensor import (
-    DEFAULT_DENSE_LIMIT,
-    StructuredOperator,
-    _apply_owned,
-    _check_dense_sites,
-    _check_states,
-)
+from .tensor import DEFAULT_DENSE_LIMIT, StructuredOperator, _check_dense_sites, _check_states
 from . import factorize
 from .factorize import CNOT, CPHASE, FOURIER, HADAMARD, NOT, PHASE, SWAP, shift_matrix
 from .factorize import FactorizationPlan, _LocalStep
@@ -105,14 +99,7 @@ class GateCounts:
 
     @property
     def total(self) -> int:
-        return (
-            self.hadamard_or_fourier
-            + self.controlled_r
-            + self.cnot
-            + self.swap
-            + self.phase
-            + self.not_x
-        )
+        return sum(astuple(self))
 
 
 def gate_unitary(g: Gate, n: int, d: int) -> StructuredOperator:
@@ -121,8 +108,8 @@ def gate_unitary(g: Gate, n: int, d: int) -> StructuredOperator:
     Controlled gates expand to d Kronecker terms: the basis projector E_l on
     the control paired with the l-th power of the target unitary (the SUM
     gate pattern for cnot when d > 2).  A gate of a plan step's kind is that
-    step's operator, label included.  A wire outside ``0..n-1`` raises
-    ``ValueError``, as does a hadamard when d > 2.
+    step's operator, label included; a cnot or swap declares a digit move.
+    A wire outside ``0..n-1`` raises ``ValueError``, as does a hadamard when d > 2.
     """
     if g.kind == HADAMARD and d != 2:
         raise ValueError("hadamard is a qubit gate; use fourier for d > 2")
@@ -161,47 +148,28 @@ def lower_to_circuit(plan: FactorizationPlan, swap_style: str = KEEP_SWAP) -> Ci
     return Circuit(plan.n, plan.d, tuple(gates))
 
 
-def _gate_ops(c: Circuit) -> list:
-    """Each gate's operator; a swap is the digit shape and the two axes it exchanges."""
-    digits = ((c.d,) * c.n,)
-    return [digits + g.wires if g.kind == SWAP else gate_unitary(g, c.n, c.d) for g in c.gates]
-
-
-def _run_gates(ops: list, work: np.ndarray, owned: bool = True) -> np.ndarray:
-    """``work`` through a circuit's ``_gate_ops``, owned as in ``factorize._chain``."""
-    for op in ops:
-        if isinstance(op, tuple):
-            digits, a, b = op
-            work = work.reshape(digits + work.shape[1:]).swapaxes(a, b).reshape(work.shape)
-        else:
-            work = _apply_owned(op, work, owned)
-            owned = True
-    return work
-
-
 def simulate_dense(
     c: Circuit, x: np.ndarray, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> np.ndarray:
-    """Apply the circuit's gates in order to a dense state vector.
-
-    A swap exchanges two digit axes of the state (a transpose, no
-    arithmetic); every other gate goes through its ``gate_unitary``, built
-    once per call.  The caller's ``x`` is never written: once a gate has
-    produced a new state, diagonal gates scale that state in place.
-    """
+    """Apply the circuit's gates in order to a dense state vector or column batch:
+    ``factorize._chain`` over each gate's ``gate_unitary``, built once per call.
+    The caller's ``x`` is never written: once a gate has produced a new state,
+    diagonal gates scale that state in place."""
     _check_dense_sites(c.n, c.d, dense_limit)
     x = np.asarray(x, dtype=complex)
     _check_states(x, c.dim, "circuit")
-    return _run_gates(_gate_ops(c), x, owned=False)
+    return factorize._chain([gate_unitary(g, c.n, c.d) for g in c.gates], x, owned=False)
 
 
 def circuit_unitary(c: Circuit, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Dense unitary of the whole circuit, formed as in ``plan_product`` on blocks
-    of identity columns, each run through the gates and copied into its output
-    columns: the output is the only N x N array, and equals the whole identity's."""
+    of identity columns, each run through the gates' operators (built once per
+    call) and copied into its output columns: the output is the only N x N
+    array, and equals the whole identity's."""
     _check_dense_sites(c.n, c.d, dense_limit)
+    ops = [gate_unitary(g, c.n, c.d) for g in c.gates]
     out = np.empty((c.dim, c.dim), dtype=complex)
-    for start, block in factorize._product_blocks(c.dim, _run_gates, _gate_ops(c)):
+    for start, block in factorize._product_blocks(c.dim, ops):
         out[:, start : start + block.shape[1]] = block
     return out
 
@@ -308,19 +276,11 @@ def equivalent_variants(
 
 
 def _gate_cells(g: Gate, d: int) -> dict[int, str]:
-    if g.kind == HADAMARD:
-        return {g.target: "[H]"}
-    if g.kind == FOURIER:
-        return {g.target: f"[F{d}]"}
-    if g.kind == PHASE:
-        return {g.target: f"[R{g.level}]"}
-    if g.kind == NOT:
-        return {g.target: "[X]"}
-    if g.kind == CPHASE:
-        return {g.control: "@", g.target: f"[R{g.level}]"}
-    if g.kind == CNOT:
-        return {g.control: "@", g.target: "[X]"}
-    return {g.target: "x", g.control: "x"}
+    marks = {HADAMARD: "[H]", FOURIER: f"[F{d}]", NOT: "[X]", CNOT: "[X]", SWAP: "x"}
+    cells = {g.target: marks.get(g.kind, f"[R{g.level}]")}  # else a phase kind
+    if g.control is not None:
+        cells[g.control] = "x" if g.kind == SWAP else "@"
+    return cells
 
 
 def render_text(c: Circuit) -> str:

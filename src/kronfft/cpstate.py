@@ -149,6 +149,10 @@ def cp_basis_state(digits, d: int = 2) -> CPState:
     return CPState(len(digits), d, (RankOneTerm(1.0, tuple(vectors)),))
 
 
+#: Least chance that one ``random_rank_one`` draw passes: at most about 10**4 draws a site.
+_MIN_PASS = 1e-4
+
+
 def random_rank_one(
     n: int, d: int = 2, seed: int = 0, min_component: float = 1e-6
 ) -> CPState:
@@ -156,11 +160,14 @@ def random_rank_one(
 
     Genericity is enforced by resampling any site vector with a component of
     magnitude <= ``min_component`` times its norm, so projector branches
-    never vanish by accident.  A vector's smallest component is at most
-    ``1/sqrt(d)`` times its norm, so ``min_component`` lies in ``[0, 1/sqrt(d))``.
+    never vanish by accident.  A vector's normalised squared magnitudes are
+    uniform on the simplex, so one draw passes with probability
+    ``(1 - d * min_component**2)**(d - 1)``.  A ``min_component`` outside
+    ``[0, 1/sqrt(d))``, or one for which that is under ``_MIN_PASS``, raises
+    ``ValueError`` before any draw.
     """
-    if not 0 <= min_component < d**-0.5:
-        raise ValueError(f"min_component must lie in [0, 1/sqrt({d})), got {min_component}")
+    if not 0 <= min_component < d**-0.5 or (1 - d * min_component**2) ** (d - 1) < _MIN_PASS:
+        raise ValueError(f"min_component {min_component} is not in [0, {d}**-0.5) or is too rare")
     rng = np.random.default_rng(seed)
     vectors = []
     for _ in range(n):

@@ -23,6 +23,7 @@ steps share one account of each kind with circuit gates (``_LocalStep``).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ from .tensor import (
     KronTerm,
     Permutation,
     StructuredOperator,
+    _Move,
     _SHORT_REST,
     _apply_owned,
     _check_dense_limit,
@@ -41,6 +43,7 @@ from .tensor import (
     _frozen_complex,
     basis_projector,
     digit_reversal,
+    identity,
     reverse_digits,
     unitarity_residual,
 )
@@ -79,8 +82,8 @@ def shift_matrix(d: int) -> np.ndarray:
 
 
 class _Step:
-    """A step record lists its terms' stored ``(site, matrix)`` pairs in ``_pairs``
-    and declares, in ``_form``, the ``(site, rows)`` that ``_compile`` would find."""
+    """A step record lists its terms' stored ``(site, matrix)`` pairs in ``_pairs`` and
+    declares in ``_form`` the ``(site, rows)`` that ``_compile`` would find, or a ``_Move``."""
 
     def operator(self, n: int, d: int) -> StructuredOperator:
         """The step as an operator with untested terms and its declared kernel form."""
@@ -167,9 +170,8 @@ class _LocalStep(_Step):
             return [[] if phase is None else [(self.target, phase)]]
         controls = [basis_projector(ell, d) for ell in range(d)]
         if self.kind == SWAP:  # |b><a| on the control with |a><b| on the target
-            units = _frozen_complex(np.eye(d * d).reshape(d, d, d, d))  # units[a, b] is |a><b|
-            controls = [units[b, a] for a in range(d) for b in range(d)]
-            targets = [units[a, b] for a in range(d) for b in range(d)]
+            targets = list(identity(d * d).reshape(d * d, d, d))  # [a * d + b] is |a><b|
+            controls = [targets[b * d + a] for a in range(d) for b in range(d)]
         elif self.kind == CNOT:  # E_l on the control with S^l on the target (the SUM gate)
             powers = (np.linalg.matrix_power(shift_matrix(d), ell) for ell in range(1, d))
             targets = [None, *map(_frozen_complex, powers)]
@@ -181,11 +183,26 @@ class _LocalStep(_Step):
                 pairs.insert(self.target > self.control, (self.target, on_target))  # site order
         return terms
 
-    def _form(self, n: int, d: int) -> tuple | None:
+    def _form(self, n: int, d: int) -> tuple | _Move:
         if self.kind in (PHASE, CPHASE):
             return None, None
-        # One dense matrix owns every row of its site; cnot and swap have no form.
-        return (self.target, [np.ones(d, dtype=bool)]) if self.control is None else None
+        if self.control is None:  # one dense matrix owns every row of its site
+            return self.target, [np.ones(d, dtype=bool)]
+        return _digit_move(self.kind, d, *sorted(self.wires), self.control < self.target)
+
+
+@functools.lru_cache(maxsize=256)
+def _digit_move(kind: str, d: int, lo: int, hi: int, control_first: bool) -> _Move:
+    """The ``_Move`` of a swap or a cnot on sites ``lo < hi``: digits ``(u, v)`` read a
+    swap's ``(v, u)``, a cnot's ``(u, v - u)`` or, control higher, ``(u - v, v)`` mod d."""
+    pairs = itertools.product(range(d), repeat=2)
+    if kind == SWAP:
+        moves = [((u, v), (v, u)) for u, v in pairs]
+    elif control_first:
+        moves = [((u, v), (u, (v - u) % d)) for u, v in pairs]
+    else:
+        moves = [((u, v), ((u - v) % d, v)) for u, v in pairs]
+    return _Move(d, lo, hi, tuple((out, source) for out, source in moves if out != source))
 
 
 @dataclass(frozen=True)
@@ -374,9 +391,9 @@ def _chain(ops, work: np.ndarray, owned: bool = True) -> np.ndarray:
     return work
 
 
-def _product_blocks(dim: int, run, ops):
+def _product_blocks(dim: int, ops):
     """``(start, block)`` for each block of the N x N identity's columns, in
-    order, with ``block`` what ``run(ops, columns)`` makes of them.
+    order, with ``block`` what ``_chain(ops, columns)`` makes of them.
 
     A block is the largest power of two of columns, at least 32, that fits in
     ``_BLOCK_BYTES``; the last one holds the rest, with a tail of at most
@@ -389,7 +406,7 @@ def _product_blocks(dim: int, run, ops):
     starts = range(0, max(dim - _SHORT_REST, 1), width)
     for start, stop in zip(starts, [*starts[1:], dim]):
         # Built in the call: a lambda, partial or ``*args`` call would keep the block alive.
-        yield start, run(ops, np.eye(dim, stop - start, -start, dtype=complex))
+        yield start, _chain(ops, np.eye(dim, stop - start, -start, dtype=complex))
 
 
 def plan_product(plan: FactorizationPlan, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
@@ -405,7 +422,7 @@ def plan_product(plan: FactorizationPlan, dense_limit: int = DEFAULT_DENSE_LIMIT
     out = np.empty((plan.dim, plan.dim), dtype=complex)
     digits = (plan.d,) * plan.n + (-1,)
     reverse = tuple(range(plan.n - 1, -1, -1)) + (plan.n,)
-    for start, block in _product_blocks(plan.dim, _chain, plan.factors):
+    for start, block in _product_blocks(plan.dim, plan.factors):
         cols = out[:, start : start + block.shape[1]].reshape(digits)  # a view
         cols[...] = block.reshape(digits).transpose(reverse)
     return out
@@ -431,7 +448,7 @@ def verify_plan(
     rows = reverse_digits(np.arange(plan.dim), plan.n, plan.d)
     roots = _dft_roots(plan.dim)
     peaks = []
-    for start, block in _product_blocks(plan.dim, _chain, plan.factors):
+    for start, block in _product_blocks(plan.dim, plan.factors):
         block -= _dft_entries(roots, rows, slice(start, start + block.shape[1]))
         peaks.append(np.max(np.abs(block)))
     residual = float(np.max(peaks))

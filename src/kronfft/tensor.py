@@ -222,11 +222,13 @@ class StructuredOperator:
         return self.local_dim**self.n_sites
 
     @functools.cached_property
-    def _kernel(self) -> _Kernel | None:
+    def _kernel(self) -> _Kernel | _Move | None:
         # Built on first dense use and kept; None means applied term by term.
-        # A plan step's operator declares its form ``(site, rows)`` in ``_form``.
+        # A step's operator declares its form ``(site, rows)`` or ``_Move`` in ``_form``.
         form = self.__dict__.get("_form")
-        return _compile(self) if form is None else _assemble(self, *form)
+        if form is None:
+            return _compile(self)
+        return form if isinstance(form, _Move) else _assemble(self, *form)
 
 
 def embed_term(
@@ -332,6 +334,29 @@ class _Kernel:
         if self.diagonal is not None:
             x.reshape(self.grouping + x.shape[1:])[self.box] *= self.diagonal
         return x
+
+
+@dataclass(frozen=True, eq=False)
+class _Move:
+    """A permutation of the digit pairs on sites ``lo < hi``, as slice copies of a
+    ``(d**lo, d, d**(hi-lo-1), d, rest)`` view with no arithmetic: for each ``((u, v),
+    (a, b))`` in ``moves`` output digits ``(u, v)`` read input ``(a, b)``; others stay."""
+
+    d: int
+    lo: int
+    hi: int
+    moves: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+
+    def apply(self, x: np.ndarray, owned: bool = False) -> np.ndarray:
+        """As ``_Kernel.apply``; an ``owned`` array is permuted in place."""
+        out = x if owned else x.copy()
+        d = self.d
+        shape = (d**self.lo, d, d ** (self.hi - self.lo - 1), d, len(x) // d ** (self.hi + 1))
+        view = out.reshape(shape + x.shape[1:])
+        held = [view[:, a, :, b].copy() for _, (a, b) in self.moves]
+        for ((u, v), _), slab in zip(self.moves, held):
+            view[:, u, :, v] = slab
+        return out
 
 
 def _box(off: np.ndarray) -> tuple[slice, ...]:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -370,7 +371,8 @@ class TestQftRankExperiment:
             qft_rank_experiment(8, 3, random_rank_one(8, 3, seed=2), dense_limit=3**8 - 1)
 
     def test_factors_build_no_dense_kernel(self, monkeypatch):
-        # The CP engine applies each factor's terms; no dense kernel is built.
+        # The CP engine reads the plan's step records: no factor operator,
+        # and so no dense kernel, is built.
         plans = []
 
         def build(*args):
@@ -381,7 +383,7 @@ class TestQftRankExperiment:
         monkeypatch.setattr(cpstate, "qft_plan", build)
         qft_rank_experiment(4, 3, random_rank_one(4, 3, seed=2))
         (plan,) = plans
-        assert plan.factors and all("_kernel" not in f.__dict__ for f in plan.factors)
+        assert "factors" not in plan.__dict__
 
 
 class TestGenericInputs:
@@ -407,6 +409,29 @@ class TestGenericInputs:
         for bad in (d**-0.5, 0.71, 1.0, -1e-9, float("nan")):
             with pytest.raises(ValueError, match="min_component"):
                 random_rank_one(2, d, min_component=bad)
+
+    @pytest.mark.parametrize("d,bad,good", [(2, 0.7071, 0.707), (3, 0.575, 0.5), (5, 0.43, 0.4)])
+    def test_min_component_with_rare_passes_raises_at_once(self, d, bad, good):
+        # One draw passes with probability (1 - d m^2)^(d-1): 1.9e-5, 6.6e-5
+        # and 3.2e-5 for the bad values, 3.0e-4, 0.0625 and 1.6e-3 for the good.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="min_component"):
+            random_rank_one(3, d, seed=1, min_component=bad)
+        assert time.perf_counter() - start < 0.1
+        assert random_rank_one(1, d, seed=1, min_component=good).term_count == 1
+
+    @pytest.mark.parametrize("n,d,seed", [(3, 2, 42), (4, 3, 3), (8, 3, 2), (12, 2, 3), (4, 3, 2)])
+    def test_default_min_component_keeps_the_seeded_state(self, n, d, seed):
+        # The documented resampling loop, drawn by hand, at the default 1e-6.
+        rng = np.random.default_rng(seed)
+        vectors = []
+        for _ in range(n):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            while np.min(np.abs(v)) <= 1e-6 * np.linalg.norm(v):
+                v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            vectors.append(v / np.linalg.norm(v))
+        want = CPState(n, d, (RankOneTerm(1.0, tuple(vectors)),))
+        assert random_rank_one(n, d, seed=seed).vectors.tobytes() == want.vectors.tobytes()
 
     def test_valid_min_component_keeps_the_seeded_state(self):
         # The documented resampling loop, drawn by hand from the same seed.

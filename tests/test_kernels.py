@@ -2,6 +2,8 @@
 shape contract, checked against dense expansion, ``numpy.fft`` and the
 term-by-term definitions."""
 import dataclasses
+import functools
+import itertools
 import json
 
 import numpy as np
@@ -46,7 +48,9 @@ from test_circuit import _every_gate
 #: Operator shapes that compile to one contraction plus one diagonal.
 COMPILED = ("single-dense", "butterfly", "diagonal")
 #: Operator shapes that keep the term-by-term path.
-FALLBACK = ("two-dense", "overlapping-rows", "swap")
+FALLBACK = ("two-dense", "overlapping-rows")
+#: Operator shapes that declare a digit move.
+MOVES = ("swap",)
 
 
 def _dense(rng, d):
@@ -105,7 +109,7 @@ def random_operator(shape: str, n: int, d: int, seed: int) -> StructuredOperator
 class TestCompiledKernels:
     @settings(max_examples=60, deadline=None)
     @given(
-        shape=st.sampled_from(COMPILED + FALLBACK),
+        shape=st.sampled_from(COMPILED + FALLBACK + MOVES),
         n=st.integers(1, 4),
         d=st.sampled_from([2, 3, 5]),
         columns=st.integers(1, 20),
@@ -344,11 +348,15 @@ class TestOwnedArrays:
     @pytest.mark.parametrize("k,d", [(3, 2), (2, 3)])
     def test_decomposition_product_matches_chain(self, k, d):
         dd = diagonal_decomposition(k, d)
-        # Two Fourier gates composed, and a CNOT, take the term-by-term path.
+        # Two Fourier gates composed, and a Fourier gate composed with a CNOT,
+        # take the term-by-term path; the CNOT itself is a digit move.
         fourier = [single_site_operator(k + 1, d, i, fourier_gate(d)) for i in (0, 1)]
-        fallback = (compose(*fourier), gate_unitary(Gate("cnot", target=1, control=0), k + 1, d))
+        cnot = gate_unitary(Gate("cnot", target=1, control=0), k + 1, d)
+        fallback = (compose(*fourier), compose(fourier[0], cnot))
         assert all(op._kernel is None for op in fallback)
-        mixed = (dd.factors[0], *fallback, compose(dd.factors[1], dd.factors[0])) + dd.factors[1:]
+        assert isinstance(cnot._kernel, tensor._Move)
+        mixed = (dd.factors[0], *fallback, cnot, compose(dd.factors[1], dd.factors[0]))
+        mixed += dd.factors[1:]
         for factors in (dd.factors, mixed):
             custom = DiagonalDecomposition(k, d, dd.orientation, factors)
             reference = _chain(factors, np.eye(d ** (k + 1), dtype=complex))
@@ -436,7 +444,7 @@ class TestBlockedProduct:
             budget = factorize._BLOCK_BYTES
         monkeypatch.setattr(factorize, "_BLOCK_BYTES", budget)
         plan = factorize.FactorizationPlan(1, dim, "fft", "control-first", ())  # no factors
-        blocks = list(factorize._product_blocks(plan.dim, factorize._chain, plan.factors))
+        blocks = list(factorize._product_blocks(plan.dim, plan.factors))
         assert np.array_equal(np.hstack([block for _, block in blocks]), np.eye(dim))
         widths = [block.shape[1] for _, block in blocks]
         assert [start for start, _ in blocks] == [sum(widths[:i]) for i in range(len(widths))]
@@ -445,6 +453,35 @@ class TestBlockedProduct:
             assert widths[:-1] == [width] * (len(widths) - 1) and width & (width - 1) == 0
             assert width == 32 or 16 * dim * width <= budget < 32 * dim * width
             assert _SHORT_REST < widths[-1] <= width + _SHORT_REST
+
+
+class TestDigitMoves:
+    """A swap or cnot gate is a digit move: slice copies that equal its terms'
+    sum bit for bit on finite input, on both sides of ``_SHORT_REST``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["swap", "cnot"]),
+        d=st.sampled_from([2, 3, 5]),
+        n=st.integers(2, 4),
+        columns=st.integers(0, 20),
+        seed=st.integers(0, 2**31),
+    )
+    def test_move_equals_term_sum(self, kind, d, n, columns, seed):
+        rng = np.random.default_rng(seed)
+        shape = (d**n, columns) if columns else (d**n,)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for control, target in itertools.permutations(range(n), 2):
+            op = gate_unitary(Gate(kind, target, control), n, d)
+            assert isinstance(op._kernel, tensor._Move)
+            got = apply_structured(op, x)
+            want = functools.reduce(np.add, (tensor._apply_term(t, x, d) for t in op.terms))
+            assert got.tobytes() == want.tobytes(), (control, target)
+            assert np.max(np.abs(got - expand(op) @ x)) < 1e-12, (control, target)
+            # An owned array, in either memory order, is permuted in place.
+            for owned in (np.array(x), np.array(x, order="F")):
+                assert tensor._apply_owned(op, owned) is owned
+                assert owned.tobytes() == want.tobytes(), (control, target)
 
 
 def _same_array(a, b):
@@ -480,12 +517,16 @@ class TestStepKernels:
     def test_step_kernel_equals_compiled_operator(self, n, d):
         plans = (fft_plan(n, d), qft_plan(n, d, "control-first"), qft_plan(n, d, "target-first"))
         gates = _every_gate(n, d) if n >= 3 else []
+        x = np.random.default_rng(n * d).standard_normal((d**n, 3)) + 0.5j
         for step in [step for plan in plans for step in plan.steps] + gates:
             compiled = _compile(step.operator(n, d))
-            if step._form(n, d) is None:  # cnot and swap declare no form, and have none
-                assert step.kind in ("cnot", "swap") and compiled is None, step
-                continue
             declared = step.operator(n, d)._kernel
+            if isinstance(declared, tensor._Move):  # cnot and swap: no compiled form
+                assert step.kind in ("cnot", "swap") and compiled is None, step
+                terms = step.operator(n, d).terms
+                want = functools.reduce(np.add, (tensor._apply_term(t, x, d) for t in terms))
+                assert declared.apply(x).tobytes() == want.tobytes(), step
+                continue
             _assert_same_kernel(declared, compiled, step)
 
     def test_loaded_plan_with_phase_free_cphase(self):
@@ -513,12 +554,17 @@ class TestStepKernels:
             plan_product(plan)
             verify_plan(plan, unitarity=False)
             if plan.kind == "qft":
-                # Lowered gates are the steps' operators, and swaps are transposes.
+                # Lowered gates are the steps' operators, and swaps and cnots are moves.
                 circuit_unitary(lower_to_circuit(plan))
-        # Phase and not gates declare their forms too; only cnot compiles.
-        circuit = Circuit(3, 3, tuple(g for g in _every_gate(3, 3) if g.kind != "cnot"))
-        simulate_dense(circuit, np.arange(27, dtype=complex))
-        circuit_unitary(circuit)
+                if plan.d == 2:
+                    three_cnot = lower_to_circuit(plan, "three-cnot")
+                    circuit_unitary(three_cnot)
+                    simulate_dense(three_cnot, x)
+        # Phase, not, cnot and swap gates declare their forms too.
+        for d in (2, 3):
+            circuit = Circuit(3, d, tuple(_every_gate(3, d)))
+            simulate_dense(circuit, np.arange(d**3, dtype=complex))
+            circuit_unitary(circuit)
 
     def test_dense_application_matches_factor_chain(self):
         for plan in _fresh_plans():
