@@ -11,18 +11,20 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .tensor import DEFAULT_DENSE_LIMIT, StructuredOperator, _check_dense_sites, _check_states
-from . import factorize
+from .tensor import _chain, _product_blocks
 from .factorize import CNOT, CPHASE, FOURIER, HADAMARD, NOT, PHASE, SWAP, shift_matrix
-from .factorize import FactorizationPlan, _LocalStep
+from .factorize import QFT, FactorizationPlan, _LocalStep
 
 GATE_KINDS = (HADAMARD, FOURIER, PHASE, NOT, CPHASE, CNOT, SWAP)
 _LEVELED = (PHASE, CPHASE)
 _TWO_WIRE = (CPHASE, CNOT, SWAP)
+_INT_OR_NONE = frozenset((int, type(None)))
 
 KEEP_SWAP = "keep-swap"
 THREE_CNOT = "three-cnot"
@@ -50,6 +52,13 @@ class Gate(_LocalStep):
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        plain = type(self.target) is int and type(self.control) in _INT_OR_NONE
+        if not (plain and type(self.level) in _INT_OR_NONE):
+            for name in ("target", "control", "level"):  # numpy integers become ints
+                value = getattr(self, name)
+                if isinstance(value, bool):
+                    raise ValueError(f"gate {name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, value if value is None else operator.index(value))
         if self.kind in _TWO_WIRE:
             if self.control is None:
                 raise ValueError(f"{self.kind} gate needs a second wire")
@@ -125,7 +134,7 @@ def lower_to_circuit(plan: FactorizationPlan, swap_style: str = KEEP_SWAP) -> Ci
     floor(n/2) SWAPs, which ``three-cnot`` expands into 3 CNOTs each (qubits
     only; the construction is not defined here for d > 2).
     """
-    if plan.kind != factorize.QFT:
+    if plan.kind != QFT:
         raise ValueError("only QFT plans lower to circuits; FFT factors are not two-site gates")
     if swap_style not in (KEEP_SWAP, THREE_CNOT):
         raise ValueError(f"unknown swap style {swap_style!r}")
@@ -152,13 +161,13 @@ def simulate_dense(
     c: Circuit, x: np.ndarray, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> np.ndarray:
     """Apply the circuit's gates in order to a dense state vector or column batch:
-    ``factorize._chain`` over each gate's ``gate_unitary``, built once per call.
+    ``tensor._chain`` over each gate's ``gate_unitary``, built once per call.
     The caller's ``x`` is never written: once a gate has produced a new state,
     diagonal gates scale that state in place."""
     _check_dense_sites(c.n, c.d, dense_limit)
     x = np.asarray(x, dtype=complex)
     _check_states(x, c.dim, "circuit")
-    return factorize._chain([gate_unitary(g, c.n, c.d) for g in c.gates], x, owned=False)
+    return _chain([gate_unitary(g, c.n, c.d) for g in c.gates], x, owned=False)
 
 
 def circuit_unitary(c: Circuit, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
@@ -169,7 +178,7 @@ def circuit_unitary(c: Circuit, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.nd
     _check_dense_sites(c.n, c.d, dense_limit)
     ops = [gate_unitary(g, c.n, c.d) for g in c.gates]
     out = np.empty((c.dim, c.dim), dtype=complex)
-    for start, block in factorize._product_blocks(c.dim, ops):
+    for start, block in _product_blocks(c.dim, ops):
         out[:, start : start + block.shape[1]] = block
     return out
 

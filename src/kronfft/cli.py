@@ -69,16 +69,15 @@ def _emit(text: str, path: str | None) -> None:
                 fh.write("\n")
 
 
-def _add_shared(p: argparse.ArgumentParser, orientation: bool = True) -> None:
+def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="number of sites")
     p.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
-    if orientation:
-        p.add_argument(
-            "--orientation",
-            choices=factorize.ORIENTATIONS,
-            default=factorize.TARGET_FIRST,
-            help="where the projectors sit in controlled-R factors",
-        )
+    p.add_argument(
+        "--orientation",
+        choices=factorize.ORIENTATIONS,
+        default=factorize.TARGET_FIRST,
+        help="where the projectors sit in controlled-R factors",
+    )
     p.add_argument(
         "--dense-limit",
         type=int,
@@ -277,10 +276,9 @@ def cmd_simulate(args) -> int:
 def cmd_rankgrowth(args) -> int:
     limit = _dense_limit(args)
     prune = 0.0 if args.no_prune else args.prune
-    if args.basis:
-        state = cp_basis_state(_parse_digits(args.basis, args.d, args.n), args.d)
-    else:
-        state = random_rank_one(args.n, args.d, seed=args.seed)
+    basis = args.basis and cp_basis_state(_parse_digits(args.basis, args.d, args.n), args.d)
+    _check_dense_sites(args.n, args.d, limit)  # before a generic state is drawn
+    state = basis or random_rank_one(args.n, args.d, seed=args.seed)
     report = qft_rank_experiment(
         args.n,
         args.d,

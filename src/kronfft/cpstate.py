@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DEFAULT_DENSE_LIMIT, StructuredOperator, _check_dense_limit
+from .tensor import DEFAULT_DENSE_LIMIT, StructuredOperator, _check_dense_sites
 from .spectral import _dft_product
 from .factorize import (
     CONTROL_FIRST,
@@ -209,7 +209,7 @@ def cp_to_dense(s: CPState, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarra
     one matrix product sums their outer products over the nonzero-weight
     terms, so the work arrays hold ``T * d**(n/2)`` entries, not ``T * d**n``.
     """
-    _check_dense_limit(s.dim, dense_limit)
+    _check_dense_sites(s.n, s.d, dense_limit)
     live = s.weights != 0
     half = s.n // 2
     left = _kron_rows(s.vectors[live, :half]) * s.weights[live, None]
@@ -419,7 +419,6 @@ def qft_rank_experiment(
     """
     if (state.n, state.d) != (n, d):
         raise ValueError("state does not match the requested site structure")
-    _check_dense_limit(state.dim, dense_limit)
     expected = _dft_product(cp_to_dense(state, dense_limit=dense_limit), dense_limit=dense_limit)
     plan = qft_plan(n, d, orientation)
     steps = []

@@ -35,12 +35,11 @@ from .tensor import (
     Permutation,
     StructuredOperator,
     _Move,
-    _SHORT_REST,
-    _apply_owned,
-    _check_dense_limit,
+    _chain,
     _check_dense_sites,
     _check_states,
     _frozen_complex,
+    _product_blocks,
     basis_projector,
     digit_reversal,
     identity,
@@ -66,12 +65,6 @@ CPHASE = "cphase"
 CNOT = "cnot"
 SWAP = "swap"
 
-#: Bytes of one column block of a dense plan product (``_product_blocks``).
-#: Measured: a block up to N = 768 is the whole matrix (more blocks slowed
-#: small products), and at N = 4096 ``verify_plan`` stays near 25 MiB.
-_BLOCK_BYTES = 12 << 20
-
-
 class PlanFormatError(ValueError):
     """A serialized plan document is malformed."""
 
@@ -79,6 +72,12 @@ class PlanFormatError(ValueError):
 def shift_matrix(d: int) -> np.ndarray:
     """Cyclic increment on a d-level site; the Pauli X for d = 2."""
     return np.roll(np.eye(d, dtype=complex), 1, axis=0)
+
+
+@functools.lru_cache(maxsize=64)
+def _shift_power(d: int, power: int) -> np.ndarray:
+    """``shift_matrix(d)`` to the ``power``, as a shared read-only matrix."""
+    return _frozen_complex(np.roll(identity(d), power, axis=0))
 
 
 class _Step:
@@ -164,7 +163,7 @@ class _LocalStep(_Step):
         if self.kind in (HADAMARD, FOURIER):
             return [[(self.target, fourier_gate(d))]]
         if self.kind == NOT:
-            return [[(self.target, _frozen_complex(shift_matrix(d)))]]
+            return [[(self.target, _shift_power(d, 1))]]
         if self.kind == PHASE:
             phase = _phase_gate(self.level, d, 1)
             return [[] if phase is None else [(self.target, phase)]]
@@ -173,8 +172,7 @@ class _LocalStep(_Step):
             targets = list(identity(d * d).reshape(d * d, d, d))  # [a * d + b] is |a><b|
             controls = [targets[b * d + a] for a in range(d) for b in range(d)]
         elif self.kind == CNOT:  # E_l on the control with S^l on the target (the SUM gate)
-            powers = (np.linalg.matrix_power(shift_matrix(d), ell) for ell in range(1, d))
-            targets = [None, *map(_frozen_complex, powers)]
+            targets = [None, *(_shift_power(d, ell) for ell in range(1, d))]
         else:  # cphase: E_l on the control with R_level^l on the target
             targets = [_phase_gate(self.level, d, ell) for ell in range(d)]
         terms = [[(self.control, on_control)] for on_control in controls]
@@ -363,8 +361,8 @@ def diagonal_decomposition(
 
 def diagonal_target(k: int, d: int = 2, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Direct sum ``I (+) Omega_k (+) ... (+) Omega_k^(d-1)`` as a dense matrix."""
+    _check_dense_sites(k + 1, d, dense_limit)
     dim = d**k
-    _check_dense_limit(dim * d, dense_limit)
     out = np.zeros((dim * d, dim * d), dtype=complex)
     for level in range(d):
         block = omega_diag(k, d, level, dense_limit=dense_limit)
@@ -376,37 +374,9 @@ def decomposition_product(
     dd: DiagonalDecomposition, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> np.ndarray:
     """Dense product of the decomposition factors, in the stated i = 1..k order."""
-    dim = dd.d ** (dd.k + 1)
-    _check_dense_limit(dim, dense_limit)
+    _check_dense_sites(dd.k + 1, dd.d, dense_limit)
     # Diagonal factors scale one whole identity in place; column blocks would add theirs.
-    return _chain(dd.factors, np.eye(dim, dtype=complex))
-
-
-def _chain(ops, work: np.ndarray, owned: bool = True) -> np.ndarray:
-    """``work`` through each operator of ``ops`` in turn.  An ``owned`` ``work``
-    (nothing else reads it) may be scaled in place, as may every later array."""
-    for op in ops:
-        work = _apply_owned(op, work, owned)
-        owned = True
-    return work
-
-
-def _product_blocks(dim: int, ops):
-    """``(start, block)`` for each block of the N x N identity's columns, in
-    order, with ``block`` what ``_chain(ops, columns)`` makes of them.
-
-    A block is the largest power of two of columns, at least 32, that fits in
-    ``_BLOCK_BYTES``; the last one holds the rest, with a tail of at most
-    ``_SHORT_REST`` columns folded in.  So every block is wider than
-    ``_SHORT_REST`` columns or is the whole matrix, and only the last one may
-    have a width that a BLAS kernel's unroll does not divide: every entry
-    takes the kernel path, and gets the bits, that the N x N identity gives.
-    """
-    width = 1 << max((_BLOCK_BYTES // (16 * dim)).bit_length() - 1, 5)
-    starts = range(0, max(dim - _SHORT_REST, 1), width)
-    for start, stop in zip(starts, [*starts[1:], dim]):
-        # Built in the call: a lambda, partial or ``*args`` call would keep the block alive.
-        yield start, _chain(ops, np.eye(dim, stop - start, -start, dtype=complex))
+    return _chain(dd.factors, np.eye(dd.d ** (dd.k + 1), dtype=complex))
 
 
 def plan_product(plan: FactorizationPlan, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:

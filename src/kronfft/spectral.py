@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 
-from .tensor import DEFAULT_DENSE_LIMIT, _check_dense_limit, _frozen_complex, _is_identity
+from .tensor import DEFAULT_DENSE_LIMIT, _check_dense_sites, _frozen_complex, _is_identity
 
 #: Rows of the DFT matrix that a streamed oracle gathers at once.
 _ORACLE_ROWS = 64
@@ -34,7 +34,7 @@ def dft_matrix(
     """
     if size < 1:
         raise ValueError("size must be a positive integer")
-    _check_dense_limit(size, dense_limit)
+    _check_dense_sites(1, size, dense_limit)
     return _dft_entries(_dft_roots(size, inverse))
 
 
@@ -63,7 +63,7 @@ def _dft_product(
 ) -> np.ndarray:
     """``dft_matrix(len(x), inverse) @ x`` for a vector ``x``, equal bit for bit
     at a fixed BLAS thread count, with the matrix streamed in row blocks."""
-    _check_dense_limit(len(x), dense_limit)
+    _check_dense_sites(1, len(x), dense_limit)
     roots = _dft_roots(len(x), inverse)
     starts = range(0, len(x), _ORACLE_ROWS)
     return np.concatenate([_dft_entries(roots, slice(k, k + _ORACLE_ROWS)) @ x for k in starts])
@@ -81,10 +81,9 @@ def omega_diag(
         raise ValueError("omega_diag needs n >= 1 and d >= 2")
     if power < 0:
         raise ValueError("power must be nonnegative")
-    dim = d**n
-    _check_dense_limit(dim, dense_limit)
+    _check_dense_sites(n, d, dense_limit)
     modulus = d ** (n + 1)
-    exps = (np.arange(dim, dtype=np.int64) * power) % modulus
+    exps = (np.arange(d**n, dtype=np.int64) * power) % modulus
     return np.diag(np.exp(-2j * np.pi * exps / modulus))
 
 

@@ -30,26 +30,23 @@ class DenseLimitError(Exception):
     """An operation would materialize a matrix beyond the dense limit."""
 
 
-def _check_dense_limit(dim: int, dense_limit: int) -> None:
-    if dim > dense_limit:
-        raise DenseLimitError(
-            f"dimension {dim} exceeds the dense limit {dense_limit}"
-        )
-
-
 def _check_dense_sites(n: int, d: int, dense_limit: int) -> None:
-    """``_check_dense_limit(d**n, dense_limit)`` that never forms a huge ``d**n``.
+    """Raise ``DenseLimitError`` when ``d**n`` exceeds ``dense_limit``, never forming a huge
+    ``d**n``.  A size that is not a power is ``d`` on one site, and may be a float.
 
     ``d**n >= 2**(n * (bits(d) - 1))``, so past ``2**65536`` bit lengths decide:
     that exceeds every finite float and any practical limit.  A dimension too
-    long to print is named as the power.
+    long to print is named as the power, or else by its bit length.
     """
-    huge = n * (d.bit_length() - 1) > 1 << 16
+    d = int(d) if hasattr(d, "__index__") else d
+    huge = isinstance(d, int) and n * (d.bit_length() - 1) > 1 << 16
     if huge or d**n > dense_limit:
-        dim = f"{d}**{n}"
-        if not huge:
-            with contextlib.suppress(ValueError):  # more digits than Python prints
+        dim = None
+        with contextlib.suppress(ValueError):  # more digits than Python prints
+            dim = f"{d}**{n}"
+            if not huge:
                 dim = str(d**n)
+        dim = dim or f"of about {n * d.bit_length()} bits"
         raise DenseLimitError(f"dimension {dim} exceeds the dense limit {dense_limit}")
 
 
@@ -251,7 +248,7 @@ def single_site_operator(
 
 def expand(op: StructuredOperator, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Materialize a structured operator as a dense matrix."""
-    _check_dense_limit(op.dim, dense_limit)
+    _check_dense_sites(op.n_sites, op.local_dim, dense_limit)
     out = np.zeros((op.dim, op.dim), dtype=complex)
     for t in op.terms:
         out += t.coefficient * kron_all(t.factors)
@@ -458,16 +455,44 @@ def apply_structured(op: StructuredOperator, x: np.ndarray) -> np.ndarray:
     """
     x = np.ascontiguousarray(x, dtype=complex)
     _check_states(x, op.dim, "operator")
-    return _apply_owned(op, x, owned=False)
+    return _chain((op,), x, owned=False)
 
 
-def _apply_owned(op: StructuredOperator, work: np.ndarray, owned: bool = True) -> np.ndarray:
-    """``apply_structured(op, work)`` for a complex ``work`` of a valid shape; an
-    ``owned`` one (nothing else reads it) may be scaled in place."""
-    kernel = op._kernel
-    if kernel is not None:
-        return kernel.apply(work, owned)
-    return functools.reduce(np.add, (_apply_term(t, work, op.local_dim) for t in op.terms))
+def _chain(ops, work: np.ndarray, owned: bool = True) -> np.ndarray:
+    """A complex ``work`` of a valid shape through each operator of ``ops`` in
+    turn: by its kernel, or term by term.  An ``owned`` ``work`` (nothing else
+    reads it) may be scaled in place, as may every later array."""
+    for op in ops:
+        if op._kernel is None:
+            work = functools.reduce(np.add, (_apply_term(t, work, op.local_dim) for t in op.terms))
+        else:
+            work = op._kernel.apply(work, owned)
+        owned = True
+    return work
+
+
+#: Bytes of one column block of a dense product (``_product_blocks``).
+#: Measured: a block up to N = 768 is the whole matrix (more blocks slowed
+#: small products), and at N = 4096 ``verify_plan`` stays near 25 MiB.
+_BLOCK_BYTES = 12 << 20
+
+
+def _product_blocks(dim: int, ops):
+    """``(start, block)`` for each block of the N x N identity's columns, in
+    order, with ``block`` what ``_chain(ops, columns)`` makes of them.
+
+    A block is the largest power of two of columns, at least 32, that fits in
+    ``_BLOCK_BYTES``; the last one holds the rest, with a tail of at most
+    ``_SHORT_REST`` columns folded in.  So every block is wider than
+    ``_SHORT_REST`` columns or is the whole matrix, and only the last one may
+    have a width that a BLAS kernel's unroll does not divide: every entry
+    takes the kernel path, and gets the bits, that the N x N identity gives.
+    """
+    width = 1 << max((_BLOCK_BYTES // (16 * dim)).bit_length() - 1, 5)
+    starts = range(0, max(dim - _SHORT_REST, 1), width)
+    for start, stop in zip(starts, [*starts[1:], dim]):
+        # Built in the call: a lambda, partial or ``*args`` call would keep the block alive.
+        yield start, _chain(ops, np.eye(dim, stop - start, -start, dtype=complex))
 
 
 def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
@@ -511,7 +536,7 @@ def unitarity_residual(op: StructuredOperator, dense_limit: int = DEFAULT_DENSE_
     stored = {i for t in gram.terms for i, _ in t.site_matrices}
     diag_sites = sorted(stored.difference(dense_sites))
     if d ** (len(diag_sites) + 2 * len(dense_sites)) > max(dense_limit**2, 64):
-        _check_dense_limit(op.dim, dense_limit)
+        _check_dense_sites(op.n_sites, op.local_dim, dense_limit)
     bdim = d ** len(dense_sites)
     ddim = d ** len(diag_sites)
     acc = np.zeros((ddim, bdim, bdim), dtype=complex)

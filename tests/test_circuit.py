@@ -659,6 +659,36 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="takes no control wire"):
             Gate("not", 0, control=1)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize(
+        "kind,target,control,level",
+        [("cphase", 1, 0, 2), ("cphase", 0, 2, 3), ("cnot", 0, 2, None), ("swap", 2, 0, None),
+         ("not", 0, None, None), ("phase", 1, None, 3), ("fourier", 2, None, None)],
+    )
+    def test_numpy_integers_are_ints(self, kind, target, control, level, d):
+        def numpy_int(v):
+            return None if v is None else np.int64(v)
+
+        twin = Gate(kind, target, control, level)
+        g = Gate(kind, numpy_int(target), numpy_int(control), numpy_int(level))
+        assert g == twin
+        assert all(type(v) is int for v in (g.target, g.control, g.level) if v is not None)
+        c, c_twin = Circuit(3, d, (g,)), Circuit(3, d, (twin,))
+        x = np.random.default_rng(3).standard_normal(d**3) + 0j
+        assert simulate_dense(c, x).tobytes() == simulate_dense(c_twin, x).tobytes()
+        assert circuit_unitary(c).tobytes() == circuit_unitary(c_twin).tobytes()
+        assert serialize(c) == serialize(c_twin)
+        assert deserialize(serialize(c)) == c
+
+    @pytest.mark.parametrize(
+        "kind,target,control,level",
+        [("hadamard", True, None, None), ("cnot", 0, True, None), ("phase", 0, None, True),
+         ("cphase", np.int64(1), False, 2)],
+    )
+    def test_bool_wires_and_levels_raise(self, kind, target, control, level):
+        with pytest.raises(ValueError, match="must be an integer, got (True|False)"):
+            Gate(kind, target, control, level)
+
     @pytest.mark.parametrize("n,d", [(0, 2), (1, 1)])
     def test_circuits_need_a_wire_of_two_levels(self, n, d):
         with pytest.raises(ValueError, match="n >= 1 wires"):

@@ -521,6 +521,23 @@ class TestRankGrowth:
         code, _, _ = run(capsys, "rankgrowth", "--n", "20")
         assert code == EXIT_LIMIT
 
+    def test_dense_limit_before_the_state_is_drawn(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a state past the dense limit")
+
+        monkeypatch.setattr(cli, "random_rank_one", refuse)
+        code, out, err = run(capsys, "rankgrowth", "--n", "200000")
+        assert code == EXIT_LIMIT and out == ""
+        assert err == "kronfft: dense limit exceeded: dimension 2**200000 exceeds the dense limit 4096\n"
+
+    def test_bad_arguments_come_before_the_dense_limit(self, capsys):
+        code, out, err = run(capsys, "rankgrowth", "--n", "200000", "--basis", "01")
+        assert code == EXIT_FAIL and out == ""
+        assert err == "kronfft: expected 200000 basis digits, got 2\n"
+        code, out, err = run(capsys, "rankgrowth", "--n", "0")
+        assert code == EXIT_FAIL and out == ""
+        assert err == "kronfft: states need n >= 1 sites of dimension d >= 2\n"
+
     def test_raised_dense_limit(self, capsys):
         # 2^13 is past the default limit; the oracle must use the raised one.
         code, out, err = run(

@@ -414,7 +414,7 @@ class TestBlockedProduct:
     def test_blocks_match_whole_identity(self, make, width, monkeypatch):
         plan = make()
         if width is not None:
-            monkeypatch.setattr(factorize, "_BLOCK_BYTES", 16 * plan.dim * width)
+            monkeypatch.setattr(tensor, "_BLOCK_BYTES", 16 * plan.dim * width)
         reference = plan.reversal.apply(_chain(plan.factors, np.eye(plan.dim, dtype=complex)))
         assert plan_product(plan).tobytes() == reference.tobytes()
         residual = float(np.max(np.abs(reference - dft_matrix(plan.dim))))
@@ -429,7 +429,7 @@ class TestBlockedProduct:
     def test_circuit_unitary_matches_whole_identity(self, n, d, style, width, monkeypatch):
         c = lower_to_circuit(qft_plan(n, d), style)
         if width is not None:
-            monkeypatch.setattr(factorize, "_BLOCK_BYTES", 16 * c.dim * width)
+            monkeypatch.setattr(tensor, "_BLOCK_BYTES", 16 * c.dim * width)
         reference = _gate_chain(c, np.eye(c.dim, dtype=complex))
         assert circuit_unitary(c).tobytes() == reference.tobytes()
 
@@ -441,10 +441,10 @@ class TestBlockedProduct:
         # budget, and the last one is wider than _SHORT_REST columns or is
         # the whole matrix.
         if budget is None:
-            budget = factorize._BLOCK_BYTES
-        monkeypatch.setattr(factorize, "_BLOCK_BYTES", budget)
+            budget = tensor._BLOCK_BYTES
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", budget)
         plan = factorize.FactorizationPlan(1, dim, "fft", "control-first", ())  # no factors
-        blocks = list(factorize._product_blocks(plan.dim, plan.factors))
+        blocks = list(tensor._product_blocks(plan.dim, plan.factors))
         assert np.array_equal(np.hstack([block for _, block in blocks]), np.eye(dim))
         widths = [block.shape[1] for _, block in blocks]
         assert [start for start, _ in blocks] == [sum(widths[:i]) for i in range(len(widths))]
@@ -480,7 +480,7 @@ class TestDigitMoves:
             assert np.max(np.abs(got - expand(op) @ x)) < 1e-12, (control, target)
             # An owned array, in either memory order, is permuted in place.
             for owned in (np.array(x), np.array(x, order="F")):
-                assert tensor._apply_owned(op, owned) is owned
+                assert tensor._chain((op,), owned) is owned
                 assert owned.tobytes() == want.tobytes(), (control, target)
 
 

@@ -11,9 +11,12 @@ from kronfft import (
     adjoint,
     apply_structured,
     basis_projector,
+    bipartition_rank,
     compose,
+    cp_basis_state,
     cp_to_dense,
     dft_matrix,
+    diagonal_target,
     digit_reversal,
     direct_sum,
     embed_term,
@@ -22,7 +25,9 @@ from kronfft import (
     kron,
     kron_all,
     omega,
+    omega_diag,
     permute_tensor_factors,
+    qft_rank_experiment,
     r_gate,
     random_rank_one,
     single_site_operator,
@@ -331,6 +336,50 @@ class TestUnitarityResidual:
             unitarity_residual(dense, dense_limit=8)
         q, _ = np.linalg.qr(random_matrix(rng, 2))
         assert unitarity_residual(single_site_operator(4, 2, 1, q), dense_limit=8) < 1e-13
+
+
+class TestDenseGuard:
+    """One guard, ``_check_dense_sites``, reports every oversize dense request
+    as ``DenseLimitError``, even where the dimension has too many digits to print."""
+
+    N = 20000  # 2**N has more than 4300 decimal digits
+
+    @pytest.mark.parametrize(
+        "call,dim",
+        [
+            (lambda n: expand(single_site_operator(n, 2, 3, np.diag([1, -1]))), "2**20000"),
+            (lambda n: cp_to_dense(cp_basis_state([0] * n)), "2**20000"),
+            (lambda n: bipartition_rank(cp_basis_state([0] * n), n // 2), "2**20000"),
+            (lambda n: qft_rank_experiment(n, 2, cp_basis_state([1] * n)), "2**20000"),
+            (lambda n: omega_diag(n, 2), "2**20000"),
+            (lambda n: diagonal_target(n - 1, 2), "2**20000"),
+            # A one-site size with too many digits is named by its bit length.
+            (lambda n: dft_matrix(10**5000), "of about 16610 bits"),
+        ],
+        ids=["expand", "cp_to_dense", "bipartition_rank", "qft_rank_experiment", "omega_diag",
+             "diagonal_target", "dft_matrix"],
+    )
+    def test_past_printable_dimensions(self, call, dim):
+        with pytest.raises(DenseLimitError) as raised:
+            call(self.N)
+        assert str(raised.value) == f"dimension {dim} exceeds the dense limit 4096"
+
+    @pytest.mark.parametrize("size", [8.0, np.int64(8)])
+    def test_dft_sizes_that_are_not_ints(self, size):
+        assert dft_matrix(size).tobytes() == dft_matrix(8).tobytes()
+
+    @pytest.mark.parametrize(
+        "size,name", [(4096.5, "4096.5"), (float("inf"), "inf"), (np.int64(8192), "8192")]
+    )
+    def test_sizes_that_are_not_ints_past_the_limit(self, size, name):
+        # A float size is compared as it is, not truncated to an int below the limit.
+        with pytest.raises(DenseLimitError, match=rf"^dimension {name} exceeds the dense limit 4096$"):
+            dft_matrix(size)
+
+    def test_small_work_is_not_guarded(self):
+        # The Gram work of a one-site operator is d**2 entries at any n.
+        q, _ = np.linalg.qr(random_matrix(np.random.default_rng(12), 2))
+        assert unitarity_residual(single_site_operator(self.N, 2, 7, q)) < 1e-13
 
 
 class TestDigitReversal:
