@@ -11,20 +11,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .tensor import DEFAULT_DENSE_LIMIT, StructuredOperator, _check_dense_sites, _check_states
 from .tensor import _chain, _product_blocks
-from .factorize import CNOT, CPHASE, FOURIER, HADAMARD, NOT, PHASE, SWAP, shift_matrix
-from .factorize import QFT, FactorizationPlan, _LocalStep
-
-GATE_KINDS = (HADAMARD, FOURIER, PHASE, NOT, CPHASE, CNOT, SWAP)
-_LEVELED = (PHASE, CPHASE)
-_TWO_WIRE = (CPHASE, CNOT, SWAP)
-_INT_OR_NONE = frozenset((int, type(None)))
+from .factorize import CNOT, CPHASE, FOURIER, HADAMARD, KINDS, NOT, PHASE, SWAP, shift_matrix
+from .factorize import QFT, FactorizationPlan, _LocalStep, _integer
 
 KEEP_SWAP = "keep-swap"
 THREE_CNOT = "three-cnot"
@@ -40,8 +34,8 @@ class CircuitFormatError(ValueError):
 class Gate(_LocalStep):
     """One gate: a kind, a target wire, and optionally a control wire and R level.
 
-    A swap is symmetric; its second wire is stored in ``control``.  Its
-    operator is that of the plan step of its kind, if there is one.
+    A swap is symmetric; its second wire is stored in ``control``.  Its operator is
+    that of the plan step of its kind, if any; ``_LocalStep._check`` checks it.
     """
 
     kind: str
@@ -49,28 +43,7 @@ class Gate(_LocalStep):
     control: int | None = None
     level: int | None = None
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        plain = type(self.target) is int and type(self.control) in _INT_OR_NONE
-        if not (plain and type(self.level) in _INT_OR_NONE):
-            for name in ("target", "control", "level"):  # numpy integers become ints
-                value = getattr(self, name)
-                if isinstance(value, bool):
-                    raise ValueError(f"gate {name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, value if value is None else operator.index(value))
-        if self.kind in _TWO_WIRE:
-            if self.control is None:
-                raise ValueError(f"{self.kind} gate needs a second wire")
-            if self.control == self.target:
-                raise ValueError("control and target wires must differ")
-        elif self.control is not None:
-            raise ValueError(f"{self.kind} gate takes no control wire")
-        if self.kind in _LEVELED:
-            if self.level is None or self.level < 1:
-                raise ValueError(f"{self.kind} gate needs a positive R level")
-        elif self.level is not None:
-            raise ValueError(f"{self.kind} gate takes no level")
+    __post_init__ = _LocalStep._check
 
 
 @dataclass(frozen=True)
@@ -82,9 +55,10 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 2:
+        n, d = _integer(self.n, "circuit n"), _integer(self.d, "circuit d")
+        if n < 1 or d < 2:
             raise ValueError("circuits need n >= 1 wires of dimension d >= 2")
-        object.__setattr__(self, "gates", tuple(self.gates))
+        self.__dict__.update(n=n, d=d, gates=tuple(self.gates))  # a frozen dataclass
         for g in self.gates:
             for w in g.wires:
                 if not 0 <= w < self.n:
@@ -185,7 +159,7 @@ def circuit_unitary(c: Circuit, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.nd
 
 def count_gates(c: Circuit) -> GateCounts:
     """Tally gates by kind."""
-    tally = {kind: 0 for kind in GATE_KINDS}
+    tally = {kind: 0 for kind in KINDS}
     for g in c.gates:
         tally[g.kind] += 1
     return GateCounts(
@@ -350,23 +324,11 @@ def serialize(c: Circuit, indent: int | None = None) -> str:
 
 
 def _gate_from_dict(doc) -> Gate:
+    """A gate entry as a ``Gate``, which checks it; JSON booleans are not integers."""
     if not isinstance(doc, dict):
         raise CircuitFormatError("gate entry must be a JSON object")
-    kind = doc.get("kind")
-    if kind not in GATE_KINDS:
-        raise CircuitFormatError(f"unknown gate kind {kind!r}")
-    # ``type(...) is int`` rejects JSON booleans, which load as ``bool``.
-    target = doc.get("target")
-    if type(target) is not int:
-        raise CircuitFormatError(f"gate target must be an integer, got {target!r}")
-    control = doc.get("control")
-    if control is not None and type(control) is not int:
-        raise CircuitFormatError(f"gate control must be an integer, got {control!r}")
-    level = doc.get("level")
-    if level is not None and type(level) is not int:
-        raise CircuitFormatError(f"gate level must be an integer, got {level!r}")
     try:
-        return Gate(kind, target=target, control=control, level=level)
+        return Gate(doc.get("kind"), doc.get("target"), doc.get("control"), doc.get("level"))
     except ValueError as exc:
         raise CircuitFormatError(str(exc)) from exc
 
@@ -381,14 +343,11 @@ def deserialize(text: str) -> Circuit:
         raise CircuitFormatError("circuit document must be a JSON object")
     if doc.get("version") != CIRCUIT_SCHEMA_VERSION:
         raise CircuitFormatError(f"unsupported schema version {doc.get('version')!r}")
-    n, d = doc.get("n"), doc.get("d")
-    if type(n) is not int or type(d) is not int:
-        raise CircuitFormatError("circuit document needs integer n and d")
     raw = doc.get("gates")
     if not isinstance(raw, list):
         raise CircuitFormatError("circuit gates must be a list")
     gates = tuple(_gate_from_dict(g) for g in raw)
     try:
-        return Circuit(n, d, gates)
+        return Circuit(doc.get("n"), doc.get("d"), gates)
     except ValueError as exc:
         raise CircuitFormatError(str(exc)) from exc

@@ -69,8 +69,8 @@ def _emit(text: str, path: str | None) -> None:
                 fh.write("\n")
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True, help="number of sites")
+def _add_shared(p: argparse.ArgumentParser, n_required: bool = True) -> None:
+    p.add_argument("--n", type=int, required=n_required, help="number of sites")
     p.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
     p.add_argument(
         "--orientation",
@@ -163,6 +163,8 @@ def cmd_verify(args) -> int:
     if args.plan is not None:
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan = plan_from_json(fh.read())
+    elif args.n is None:
+        args.usage_error("the following arguments are required: --n or --plan")
     else:
         # Before building: qft_plan(n) has n(n+1)/2 steps.
         factorize._check_plan_args(args.n, args.d)
@@ -198,7 +200,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _counts_lines(n: int, counts, formulas) -> list[str]:
+def _counts_lines(counts, formulas) -> list[str]:
     lines = [
         "gate counts:",
         f"  hadamard/fourier: {counts.hadamard_or_fourier} (formula n = {formulas['hadamard_or_fourier']})",
@@ -236,7 +238,7 @@ def cmd_circuit(args) -> int:
         return EXIT_OK
     blocks = [render_text(circ)]
     if args.counts:
-        blocks.append("\n".join(_counts_lines(args.n, counts, formulas)))
+        blocks.append("\n".join(_counts_lines(counts, formulas)))
     _emit("\n\n".join(blocks), args.output)
     return EXIT_OK
 
@@ -319,12 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("verify", help="check a plan against the dense DFT matrix")
-    _add_shared(p)
+    _add_shared(p, n_required=False)
     p.add_argument("--kind", choices=(factorize.FFT, factorize.QFT), default=factorize.QFT)
-    p.add_argument("--plan", default=None, help="verify a plan JSON file instead of building one")
+    p.add_argument("--plan", default=None, help="verify a plan JSON file instead of "
+                   "building one; n and d come from the file, so --n is not needed")
     p.add_argument("--tolerance", type=float, default=1e-11)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, usage_error=p.error)
 
     p = sub.add_parser("circuit", help="lower the QFT plan to a gate circuit")
     _add_shared(p)

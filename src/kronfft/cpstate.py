@@ -27,6 +27,7 @@ from .spectral import _dft_product
 from .factorize import (
     CONTROL_FIRST,
     TARGET_FIRST,
+    _integer,
     diagonal_decomposition,
     qft_plan,
 )
@@ -81,6 +82,7 @@ class CPState:
     """
 
     def __init__(self, n: int, d: int, terms):
+        n, d = _integer(n, "state n"), _integer(d, "state d")
         if n < 1 or d < 2:
             raise ValueError("states need n >= 1 sites of dimension d >= 2")
         terms = tuple(terms)
@@ -434,4 +436,4 @@ def qft_rank_experiment(
     residual = float(
         np.max(np.abs(cp_to_dense(state, dense_limit=dense_limit) - expected))
     )
-    return RankTrajectory(n, d, orientation, prune, tuple(steps), residual)
+    return RankTrajectory(plan.n, plan.d, orientation, prune, tuple(steps), residual)

@@ -22,9 +22,11 @@ steps share one account of each kind with circuit gates (``_LocalStep``).
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +66,21 @@ NOT = "not"
 CPHASE = "cphase"
 CNOT = "cnot"
 SWAP = "swap"
+KINDS = (HADAMARD, FOURIER, PHASE, NOT, CPHASE, CNOT, SWAP)
+_TWO_WIRE = (CPHASE, CNOT, SWAP)
+_LEVELED = (PHASE, CPHASE)
+_INT_OR_NONE = frozenset((int, type(None)))
+
 
 class PlanFormatError(ValueError):
     """A serialized plan document is malformed."""
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: a numpy integer converts; a bool or a non-integer raises."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def shift_matrix(d: int) -> np.ndarray:
@@ -157,6 +171,29 @@ class _LocalStep(_Step):
     def term_count(self, d: int) -> int:
         return d * d if self.kind == SWAP else d if self.control is not None else 1
 
+    def _check(self, noun: str = "gate") -> None:
+        """Reject an unknown kind, a non-integer field, a wrong arity or a bad level."""
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        plain = type(self.target) is int and type(self.control) in _INT_OR_NONE
+        if not (plain and type(self.level) in _INT_OR_NONE):
+            for field in dataclasses.fields(self):  # declaration order
+                value = getattr(self, field.name)
+                if field.name != "kind" and not (value is None and field.default is None):
+                    object.__setattr__(self, field.name, _integer(value, f"{noun} {field.name}"))
+        if self.kind in _TWO_WIRE:
+            if self.control is None:
+                raise ValueError(f"{self.kind} gate needs a second wire")
+            if self.control == self.target:
+                raise ValueError("control and target wires must differ")
+        elif self.control is not None:
+            raise ValueError(f"{self.kind} gate takes no control wire")
+        if self.kind in _LEVELED:
+            if self.level is None or self.level < 1:
+                raise ValueError(f"{self.kind} gate needs a positive R level")
+        elif self.level is not None:
+            raise ValueError(f"{self.kind} gate takes no level")
+
     def _pairs(self, n: int, d: int) -> list:
         """One-site kinds give one term.  A two-site kind gives one term per
         (control, target) matrix pair; ``None`` on the target is the identity."""
@@ -182,7 +219,7 @@ class _LocalStep(_Step):
         return terms
 
     def _form(self, n: int, d: int) -> tuple | _Move:
-        if self.kind in (PHASE, CPHASE):
+        if self.kind in _LEVELED:
             return None, None
         if self.control is None:  # one dense matrix owns every row of its site
             return self.target, [np.ones(d, dtype=bool)]
@@ -300,11 +337,14 @@ class PlanVerification:
         return max(self.factor_unitarity) if self.factor_unitarity else 0.0
 
 
-def _check_plan_args(n: int, d: int) -> None:
+def _check_plan_args(n: int, d: int) -> tuple[int, int]:
+    """``n`` and ``d`` as ints, checked as a plan's site count and local dimension."""
+    n, d = _integer(n, "plan n"), _integer(d, "plan d")
     if n < 1:
         raise ValueError("plans need at least one site")
     if d < 2:
         raise ValueError("local dimension must be at least 2")
+    return n, d
 
 
 def _check_orientation(orientation: str) -> None:
@@ -314,7 +354,7 @@ def _check_orientation(orientation: str) -> None:
 
 def fft_plan(n: int, d: int = 2) -> FactorizationPlan:
     """Radix-d FFT factorization: n butterfly stages plus the digit reversal."""
-    _check_plan_args(n, d)
+    n, d = _check_plan_args(n, d)
     steps = tuple(ButterflyStep(k) for k in range(n - 1, -1, -1))
     return FactorizationPlan(n, d, FFT, CONTROL_FIRST, steps)
 
@@ -326,7 +366,7 @@ def qft_plan(n: int, d: int = 2, orientation: str = TARGET_FIRST) -> Factorizati
     then the stage's controlled-phase factors in descending level order (they
     commute; this order matches the conventional circuit layout).
     """
-    _check_plan_args(n, d)
+    n, d = _check_plan_args(n, d)
     _check_orientation(orientation)
     steps = []
     for k in range(n - 1, -1, -1):
@@ -475,37 +515,28 @@ def plan_to_json(plan: FactorizationPlan, indent: int | None = None) -> str:
 _OP_KIND = {"butterfly": FFT, "fourier": QFT, "cphase": QFT}
 
 
-# Integer fields are tested with ``type(value) is int``: JSON ``true`` and
-# ``false`` load as ``bool``, a subclass of ``int``, and are not integers.
-
-
 def _step_from_dict(kind: str, n: int, desc) -> PlanStep:
+    """A factor entry's step record, or ``ValueError``; gate rules via ``_LocalStep._check``."""
     if not isinstance(desc, dict):
-        raise PlanFormatError("plan factor must be a JSON object")
+        raise ValueError("plan factor must be a JSON object")
     op = desc.get("op")
     if _OP_KIND.get(op, kind) != kind:
-        raise PlanFormatError(f"factor op {op!r} does not belong in a {kind!r} plan")
+        raise ValueError(f"factor op {op!r} does not belong in a {kind!r} plan")
     if op == "butterfly":
         stage = desc.get("stage")
         if type(stage) is not int or not 0 <= stage < n:
-            raise PlanFormatError(f"butterfly stage {stage!r} out of range")
+            raise ValueError(f"butterfly stage {stage!r} out of range")
         return ButterflyStep(stage)
     if op == "fourier":
-        site = desc.get("site")
-        if type(site) is not int or not 0 <= site < n:
-            raise PlanFormatError(f"fourier site {site!r} out of range")
-        return FourierStep(site)
-    if op == "cphase":
-        control, target, level = desc.get("control"), desc.get("target"), desc.get("level")
-        for name, wire in (("control", control), ("target", target)):
-            if type(wire) is not int or not 0 <= wire < n:
-                raise PlanFormatError(f"cphase {name} {wire!r} out of range")
-        if control == target:
-            raise PlanFormatError("cphase control and target must differ")
-        if type(level) is not int or level < 1:
-            raise PlanFormatError(f"cphase level {level!r} must be a positive integer")
-        return CPhaseStep(control, target, level)
-    raise PlanFormatError(f"unknown factor op {op!r}")
+        step = FourierStep(desc.get("site"))
+    elif op == "cphase":
+        step = CPhaseStep(desc.get("control"), desc.get("target"), desc.get("level"))
+    else:
+        raise ValueError(f"unknown factor op {op!r}")
+    step._check(op)
+    if not (0 <= step.target < n and (step.control is None or 0 <= step.control < n)):
+        raise ValueError(f"{step!r} does not fit on {n} sites")
+    return step
 
 
 def plan_from_dict(doc: dict) -> FactorizationPlan:
@@ -519,13 +550,14 @@ def plan_from_dict(doc: dict) -> FactorizationPlan:
     orientation = doc.get("orientation", CONTROL_FIRST)
     if orientation not in ORIENTATIONS:
         raise PlanFormatError(f"unknown orientation {orientation!r}")
-    n, d = doc.get("n"), doc.get("d")
-    if type(n) is not int or type(d) is not int or n < 1 or d < 2:
-        raise PlanFormatError(f"invalid plan dimensions n={n!r}, d={d!r}")
-    raw = doc.get("factors")
-    if not isinstance(raw, list):
-        raise PlanFormatError("plan factors must be a list")
-    steps = tuple(_step_from_dict(kind, n, desc) for desc in raw)
+    try:
+        n, d = _check_plan_args(doc.get("n"), doc.get("d"))
+        raw = doc.get("factors")
+        if not isinstance(raw, list):
+            raise ValueError("plan factors must be a list")
+        steps = tuple(_step_from_dict(kind, n, desc) for desc in raw)
+    except ValueError as exc:
+        raise PlanFormatError(str(exc)) from exc
     return FactorizationPlan(n, d, kind, orientation, steps)
 
 

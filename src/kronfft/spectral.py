@@ -19,7 +19,7 @@ _ORACLE_ROWS = 64
 
 def omega(modulus: int, power: int = 1) -> complex:
     """Root of unity ``exp(-2*pi*i*power/modulus)``, exponent reduced mod modulus."""
-    if modulus < 1:
+    if modulus < 1 or modulus % 1:
         raise ValueError("modulus must be a positive integer")
     return complex(np.exp(-2j * np.pi * (power % modulus) / modulus))
 
@@ -30,11 +30,15 @@ def dft_matrix(
     """Unitary DFT matrix with entries ``omega_N^(k*j) / sqrt(N)``.
 
     Each entry is gathered from the N scaled roots ``omega_N^m / sqrt(N)``
-    at ``m = k*j mod N``, so only N exponentials are evaluated.
+    at ``m = k*j mod N``, so only N exponentials are evaluated.  A size past
+    the dense limit raises ``DenseLimitError`` before one that is not a whole
+    number raises ``ValueError``.
     """
     if size < 1:
         raise ValueError("size must be a positive integer")
     _check_dense_sites(1, size, dense_limit)
+    if size % 1:
+        raise ValueError("size must be a positive integer")
     return _dft_entries(_dft_roots(size, inverse))
 
 
@@ -135,7 +139,7 @@ def exponent_matrix_render(size: int, mod: bool = False) -> str:
     With ``mod`` the exponents are reduced modulo ``size``.  Rendering is
     capped at ``size <= 64``; this is display tooling, not a data format.
     """
-    if size < 1:
+    if size < 1 or size % 1:
         raise ValueError("size must be a positive integer")
     if size > 64:
         raise ValueError("exponent grids are rendered only up to size 64")

@@ -12,10 +12,12 @@ from kronfft import (
     ORIENTATIONS,
     TARGET_FIRST,
     THREE_CNOT,
+    ButterflyStep,
     CPhaseStep,
     Circuit,
     CircuitFormatError,
     DenseLimitError,
+    FactorizationPlan,
     FourierStep,
     Gate,
     StructuredOperator,
@@ -137,6 +139,15 @@ class TestLowering:
     def test_unknown_swap_style(self):
         with pytest.raises(ValueError):
             lower_to_circuit(qft_plan(2, 2), swap_style="teleport")
+
+    def test_butterfly_step_does_not_lower(self):
+        plan = FactorizationPlan(2, 2, "qft", TARGET_FIRST, (FourierStep(0), ButterflyStep(0)))
+        with pytest.raises(ValueError, match="is not a one- or two-site gate"):
+            lower_to_circuit(plan)
+
+    def test_numpy_plan_sizes_serialise(self):
+        c = lower_to_circuit(qft_plan(np.int64(3)))
+        assert serialize(c) == serialize(lower_to_circuit(qft_plan(3)))
 
     @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (4, 2), (2, 3), (3, 3)])
     def test_gates_match_plan_factors(self, n, d):
@@ -590,6 +601,38 @@ class TestSerialization:
         with pytest.raises(CircuitFormatError, match="must be a JSON object"):
             deserialize("[1, 2]")
 
+    @pytest.mark.parametrize(
+        "gate,message",
+        [
+            ({"kind": "warp", "target": 0}, "unknown gate kind 'warp'"),
+            ({"target": 0}, "unknown gate kind None"),
+            ({"kind": "hadamard"}, "gate target must be an integer, got None"),
+            ({"kind": "hadamard", "target": 1.0}, "gate target must be an integer, got 1.0"),
+            ({"kind": "cnot", "target": 0, "control": "1"}, "gate control must be an integer, got '1'"),
+            ({"kind": "phase", "target": 0, "level": [2]}, "gate level must be an integer, got [2]"),
+            ({"kind": "cnot", "target": 0}, "cnot gate needs a second wire"),
+            ({"kind": "phase", "target": 0}, "phase gate needs a positive R level"),
+            ({"kind": "hadamard", "target": 0, "level": 2}, "hadamard gate takes no level"),
+        ],
+    )
+    def test_entries_are_checked_by_the_gate(self, gate, message):
+        doc = {"version": 1, "n": 2, "d": 2, "gates": [gate]}
+        with pytest.raises(CircuitFormatError) as raised:
+            deserialize(json.dumps(doc))
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as direct:
+            Gate(gate.get("kind"), gate.get("target"), gate.get("control"), gate.get("level"))
+        assert str(direct.value) == message
+
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [(2.0, 2, "circuit n must be an integer, got 2.0"), (2, None, "circuit d must be an integer, got None")],
+    )
+    def test_document_sizes_are_checked_by_the_circuit(self, n, d, message):
+        with pytest.raises(CircuitFormatError) as raised:
+            deserialize(json.dumps({"version": 1, "n": n, "d": d, "gates": []}))
+        assert str(raised.value) == message
+
     def test_bad_version_and_bad_json(self):
         with pytest.raises(CircuitFormatError):
             deserialize(json.dumps({"version": 2, "n": 1, "d": 2, "gates": []}))
@@ -693,3 +736,38 @@ class TestGateValidation:
     def test_circuits_need_a_wire_of_two_levels(self, n, d):
         with pytest.raises(ValueError, match="n >= 1 wires"):
             Circuit(n, d)
+
+    @pytest.mark.parametrize(
+        "target,control,level,message",
+        [
+            (None, None, None, "gate target must be an integer, got None"),
+            (1.5, 0, 2, "gate target must be an integer, got 1.5"),
+            ("0", None, None, "gate target must be an integer, got '0'"),
+            (1, 0.0, 2, "gate control must be an integer, got 0.0"),
+            (1, 0, 2.5, "gate level must be an integer, got 2.5"),
+        ],
+    )
+    def test_non_integer_fields_raise_value_error(self, target, control, level, message):
+        kind = "hadamard" if control is None else "cphase"
+        with pytest.raises(ValueError) as raised:
+            Gate(kind, target, control, level)
+        assert type(raised.value) is ValueError and str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [
+            (2.0, 2, "circuit n must be an integer, got 2.0"),
+            (2, True, "circuit d must be an integer, got True"),
+            ("2", 2, "circuit n must be an integer, got '2'"),
+        ],
+    )
+    def test_circuit_sizes_must_be_integers(self, n, d, message):
+        with pytest.raises(ValueError) as raised:
+            Circuit(n, d)
+        assert str(raised.value) == message
+
+    def test_numpy_circuit_sizes_become_ints(self):
+        c = Circuit(np.int64(2), np.int64(3), (Gate("fourier", 1),))
+        assert type(c.n) is int and type(c.d) is int
+        assert c == Circuit(2, 3, (Gate("fourier", 1),))
+        assert deserialize(serialize(c)) == c

@@ -131,6 +131,33 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "4", "--plan", str(plan_file))
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("kind,n,d", [("qft", 5, 3), ("fft", 6, 2)])
+    def test_plan_needs_no_n(self, capsys, tmp_path, kind, n, d):
+        # n and d come from the document; a given --n is ignored.
+        plan_file = tmp_path / "plan.json"
+        argv = ["--kind", kind, "--n", str(n), "--d", str(d), "--format", "json"]
+        run(capsys, "factor", *argv, "--output", str(plan_file))
+        code, out, err = run(capsys, "verify", "--plan", str(plan_file))
+        assert code == EXIT_OK and err == ""
+        assert f"plan:                 {kind} n={n} d={d}" in out
+        assert run(capsys, "verify", "--n", "2", "--d", "7", "--plan", str(plan_file)) == (code, out, err)
+
+    def test_n_or_plan_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"])
+        assert exc.value.code == 2
+        assert "required: --n or --plan" in capsys.readouterr().err
+
+    def test_boolean_level_is_an_invalid_document(self, capsys, tmp_path):
+        plan_file = tmp_path / "plan.json"
+        run(capsys, "factor", "--n", "3", "--format", "json", "--output", str(plan_file))
+        doc = json.loads(plan_file.read_text())
+        next(f for f in doc["factors"] if f["op"] == "cphase")["level"] = True
+        plan_file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--plan", str(plan_file))
+        assert code == EXIT_FAIL and out == ""
+        assert err == "kronfft: invalid document: cphase level must be an integer, got True\n"
+
     def test_tampered_plan_fails(self, capsys, tmp_path):
         plan_file = tmp_path / "plan.json"
         run(capsys, "factor", "--n", "4", "--format", "json", "--output", str(plan_file))
@@ -415,6 +442,18 @@ class TestSimulate:
         vec.write_text("1 0\n0 0\n0 0\n")
         code, _, err = run(capsys, "simulate", "--n", "3", "--input", str(vec))
         assert code == EXIT_FAIL
+
+    def test_unparsable_basis_digits(self, capsys):
+        code, out, err = run(capsys, "simulate", "--n", "2", "--basis", "0x")
+        assert code == EXIT_FAIL and out == ""
+        assert err == "kronfft: cannot parse basis digits from '0x'\n"
+
+    def test_check_over_tolerance_fails_after_output(self, capsys):
+        argv = ["--n", "2", "--basis", "01", "--check", "--tolerance", "-1"]
+        code, out, err = run(capsys, "simulate", *argv)
+        assert code == EXIT_FAIL
+        assert out == run(capsys, "simulate", "--n", "2", "--basis", "01")[1] != ""
+        assert err.startswith("dense oracle max diff: ")
 
     def test_bad_basis_digits(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "2", "--basis", "07")

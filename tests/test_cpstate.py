@@ -118,6 +118,23 @@ class TestConstructor:
         with pytest.raises(ValueError, match=message):
             CPState(n, d, terms)
 
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [
+            (2.0, 2, "state n must be an integer, got 2.0"),
+            (2, True, "state d must be an integer, got True"),
+            ("2", 2, "state n must be an integer, got '2'"),
+        ],
+    )
+    def test_sizes_must_be_integers(self, n, d, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CPState(n, d, (RankOneTerm(1.0, (np.ones(2), np.ones(2))),))
+
+    def test_numpy_sizes_become_ints(self):
+        s = CPState(np.int64(2), np.int64(2), (RankOneTerm(1.0, (np.ones(2), np.ones(2))),))
+        assert type(s.n) is int and type(s.d) is int
+        assert repr(s) == "CPState(n=2, d=2, term_count=1)"
+
 
 class TestCpToDense:
     def test_single_term_matches_kron(self):
@@ -260,6 +277,10 @@ class TestBipartitionRank:
         for cut in (1, 2):
             assert bipartition_rank(s, cut) == 1
 
+    def test_zero_state_has_rank_zero(self):
+        s = CPState(2, 2, (RankOneTerm(0.0, (np.ones(2), np.ones(2))),))
+        assert bipartition_rank(s, 1) == 0
+
     def test_cut_bounds(self):
         s = cp_basis_state([0, 0], 2)
         with pytest.raises(ValueError):
@@ -284,6 +305,14 @@ class TestCompress:
         out = compress(doubled)
         assert out.term_count == 1
         assert np.max(np.abs(cp_to_dense(out) - cp_to_dense(doubled))) < 1e-12
+
+    def test_zero_two_site_state_keeps_one_zero_term(self):
+        zero = RankOneTerm(0.0, (np.ones(2), np.ones(2)))
+        s = CPState(2, 2, (zero, zero))
+        out = compress(s)
+        assert out.term_count == 1
+        assert out.weights.tolist() == [0j]
+        np.testing.assert_array_equal(cp_to_dense(out), np.zeros(4))
 
     def test_redundant_two_site_state_compresses_via_svd(self):
         rng = np.random.default_rng(11)
@@ -320,6 +349,13 @@ class TestCompress:
 
 
 class TestQftRankExperiment:
+    def test_numpy_sizes_are_recorded_as_ints(self):
+        state = random_rank_one(3, 2, seed=4)
+        report = qft_rank_experiment(np.int64(3), np.int64(2), state)
+        assert type(report.n) is int and type(report.d) is int
+        want = qft_rank_experiment(3, 2, state)
+        assert report.to_json(timing=False) == want.to_json(timing=False)
+
     def test_single_site_trajectory(self):
         report = qft_rank_experiment(1, 2, cp_basis_state([0], 2))
         assert [s.term_count for s in report.steps] == [1, 1]  # fourier, reversal

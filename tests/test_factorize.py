@@ -41,7 +41,7 @@ from kronfft import (
     unitarity_residual,
     verify_plan,
 )
-from kronfft.factorize import plan_from_dict
+from kronfft.factorize import _LocalStep, plan_from_dict
 
 
 def plan_residual(plan):
@@ -168,6 +168,10 @@ class TestDiagonalDecomposition:
             diagonal_decomposition(0, 2)
         with pytest.raises(ValueError):
             diagonal_decomposition(1, 2, "sideways")
+
+    def test_needs_two_levels(self):
+        with pytest.raises(ValueError, match="local dimension must be at least 2"):
+            diagonal_decomposition(2, d=1)
 
 
 class TestQftPlan:
@@ -537,6 +541,84 @@ class TestPlanSerialization:
     def test_invalid_json_rejected(self):
         with pytest.raises(PlanFormatError):
             plan_from_json("{not json")
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ({"op": "fourier", "site": True}, "fourier site must be an integer, got True"),
+            ({"op": "fourier"}, "fourier site must be an integer, got None"),
+            ({"op": "fourier", "site": 3}, "FourierStep(site=3) does not fit on 3 sites"),
+            ({"op": "cphase", "control": 1.0, "target": 0, "level": 2},
+             "cphase control must be an integer, got 1.0"),
+            ({"op": "cphase", "control": 1, "target": 0, "level": "2"},
+             "cphase level must be an integer, got '2'"),
+            ({"op": "cphase", "control": 1, "target": 1, "level": 2},
+             "control and target wires must differ"),
+            ({"op": "cphase", "control": 1, "target": 0, "level": 0},
+             "cphase gate needs a positive R level"),
+            ({"op": "cphase", "control": 5, "target": 0, "level": 3},
+             "CPhaseStep(control=5, target=0, level=3) does not fit on 3 sites"),
+        ],
+    )
+    def test_loaded_steps_obey_the_gate_rules(self, entry, message):
+        # A loaded step is checked by the same rules as a gate, under its own field names.
+        doc = json.loads(plan_to_json(qft_plan(3, 2)))
+        doc["factors"].append(entry)
+        with pytest.raises(PlanFormatError) as raised:
+            plan_from_json(json.dumps(doc))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [
+            (0, 2, "plans need at least one site"),
+            (2, 1, "local dimension must be at least 2"),
+            (True, 2, "plan n must be an integer, got True"),
+            (2, 2.0, "plan d must be an integer, got 2.0"),
+        ],
+    )
+    def test_dimensions_are_checked_as_plan_arguments(self, n, d, message):
+        doc = {"version": 1, "kind": "qft", "n": n, "d": d, "factors": []}
+        with pytest.raises(PlanFormatError) as raised:
+            plan_from_dict(doc)
+        assert str(raised.value) == message
+
+
+class TestPlanSizes:
+    """A plan's n and d are ints: numpy integers convert, and any other type raises."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: qft_plan(True, 2), "plan n must be an integer, got True"),
+            (lambda: fft_plan(3, 2.0), "plan d must be an integer, got 2.0"),
+            (lambda: qft_plan(3, "2"), "plan d must be an integer, got '2'"),
+            (lambda: fft_plan(None), "plan n must be an integer, got None"),
+        ],
+        ids=["bool-n", "float-d", "str-d", "none-n"],
+    )
+    def test_non_integer_sizes_raise(self, call, message):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("build", [fft_plan, qft_plan])
+    def test_numpy_sizes_round_trip(self, build):
+        plan = build(np.int64(3), np.int64(3))
+        assert type(plan.n) is int and type(plan.d) is int
+        text = plan_to_json(plan)
+        assert text == plan_to_json(build(3, 3))
+        assert plan_to_json(plan_from_json(text)) == text
+
+    def test_built_steps_are_not_checked(self, monkeypatch):
+        # Building stays cheap: only loaded steps and gates run the step rules.
+        def refuse(step, noun="gate"):
+            raise AssertionError(f"checked {step!r}")
+
+        monkeypatch.setattr(_LocalStep, "_check", refuse)
+        plan = qft_plan(6, 3)
+        plan_to_json(plan)
+        plan.factors
 
 
 def stored_site_matrices(plan):

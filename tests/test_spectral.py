@@ -245,3 +245,21 @@ class TestExponentRender:
             exponent_matrix_render(65)
         with pytest.raises(ValueError):
             exponent_matrix_render(0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: dft_matrix(2.5), lambda: dft_matrix(8.5, dense_limit=16),
+     lambda: exponent_matrix_render(2.5), lambda: exponent_matrix_render(3.5, mod=True),
+     lambda: omega(2.5), lambda: omega(4.5, 1)],
+    ids=["dft_matrix", "dft_matrix-under-limit", "render", "render-mod", "omega", "omega-power"],
+)
+def test_sizes_that_are_not_whole_numbers_raise(call):
+    # np.arange(2.5) has three entries, so these once gave 3 x 3 grids of roots of order 2.5.
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        call()
+
+
+def test_whole_float_and_numpy_sizes_still_work():
+    assert exponent_matrix_render(4.0) == exponent_matrix_render(4)
+    assert omega(8.0, 3) == omega(np.int64(8), 3) == omega(8, 3)

@@ -175,6 +175,10 @@ class TestStructuredOperator:
         with pytest.raises(ValueError, match="at least one site"):
             StructuredOperator(0, 2, ())
 
+    def test_needs_a_positive_local_dimension(self):
+        with pytest.raises(ValueError, match="local dimension must be positive"):
+            StructuredOperator(2, 0, ())
+
     def test_factors_are_read_only(self):
         term = embed_term(2, 2, {0: np.array([[0, 1], [1, 0]])})
         with pytest.raises(ValueError):
@@ -403,6 +407,12 @@ class TestDigitReversal:
             digit_reversal(0, 2)
         with pytest.raises(ValueError):
             digit_reversal(2, 1)
+
+    def test_equals_only_permutations_and_repr(self):
+        p = digit_reversal(2, 2)
+        assert (p == (0, 2, 1, 3)) is False
+        assert (p != (0, 2, 1, 3)) is True
+        assert repr(p) == "Permutation(image=(0, 2, 1, 3))"
 
 
 class TestPermutation:
