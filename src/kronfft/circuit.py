@@ -16,9 +16,9 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .tensor import DEFAULT_DENSE_LIMIT, StructuredOperator, _check_dense_sites, _check_states
-from .tensor import _chain, _product_blocks
+from .tensor import _chain, _integer, _product_blocks
 from .factorize import CNOT, CPHASE, FOURIER, HADAMARD, KINDS, NOT, PHASE, SWAP, shift_matrix
-from .factorize import QFT, FactorizationPlan, _LocalStep, _integer
+from .factorize import QFT, FactorizationPlan, _LocalStep
 
 KEEP_SWAP = "keep-swap"
 THREE_CNOT = "three-cnot"

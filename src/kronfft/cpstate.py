@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DEFAULT_DENSE_LIMIT, StructuredOperator, _check_dense_sites
+from .tensor import DEFAULT_DENSE_LIMIT, StructuredOperator, _check_dense_sites, _integer
 from .spectral import _dft_product
 from .factorize import (
     CONTROL_FIRST,
     TARGET_FIRST,
-    _integer,
     diagonal_decomposition,
     qft_plan,
 )

@@ -26,7 +26,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +40,11 @@ from .tensor import (
     _check_dense_sites,
     _check_states,
     _frozen_complex,
+    _integer,
     _product_blocks,
     basis_projector,
     digit_reversal,
     identity,
-    reverse_digits,
     unitarity_residual,
 )
 from .spectral import _dft_entries, _dft_roots, _phase_gate, fourier_gate, omega_diag
@@ -76,13 +75,6 @@ class PlanFormatError(ValueError):
     """A serialized plan document is malformed."""
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int: a numpy integer converts; a bool or a non-integer raises."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
 def shift_matrix(d: int) -> np.ndarray:
     """Cyclic increment on a d-level site; the Pauli X for d = 2."""
     return np.roll(np.eye(d, dtype=complex), 1, axis=0)
@@ -99,7 +91,9 @@ class _Step:
     declares in ``_form`` the ``(site, rows)`` that ``_compile`` would find, or a ``_Move``."""
 
     def operator(self, n: int, d: int) -> StructuredOperator:
-        """The step as an operator with untested terms and its declared kernel form."""
+        """The step, its fields checked, as an operator with untested terms and its
+        declared kernel form."""
+        self._check(self.kind)
         sites = self.sites(n)
         if not sites or len(set(sites)) < len(sites) or min(sites) < 0 or max(sites) >= n:
             raise ValueError(f"{self!r} does not fit on {n} sites")
@@ -114,6 +108,11 @@ class ButterflyStep(_Step):
     """Radix-d FFT stage ``stage``: acts on the trailing ``stage + 1`` sites."""
 
     stage: int
+
+    kind = "butterfly"
+
+    def _check(self, noun: str) -> None:
+        object.__setattr__(self, "stage", _integer(self.stage, f"{noun} stage"))
 
     def sites(self, n: int) -> tuple[int, ...]:
         return tuple(range(n - 1 - self.stage, n))
@@ -305,11 +304,11 @@ class FactorizationPlan:
 
     @property
     def reversal(self) -> Permutation:
-        """The digit-reversal permutation, built on each access.
+        """The digit-reversal permutation ``digit_reversal(n, d)``: it holds
+        ``(n, d)`` and applies itself as a transpose of the n digit axes.
 
-        Its image has d**n entries and nothing keeps it.  ``fft_apply`` and
-        ``plan_product`` reverse the digits by a transpose instead; symbolic
-        work (gate counting, lowering) never builds it.
+        ``fft_apply``, ``plan_product`` and ``verify_plan`` reverse through it
+        and never build its d**n index table.
         """
         return digit_reversal(self.n, self.d)
 
@@ -430,11 +429,10 @@ def plan_product(plan: FactorizationPlan, dense_limit: int = DEFAULT_DENSE_LIMIT
     """
     _check_dense_sites(plan.n, plan.d, dense_limit)
     out = np.empty((plan.dim, plan.dim), dtype=complex)
-    digits = (plan.d,) * plan.n + (-1,)
-    reverse = tuple(range(plan.n - 1, -1, -1)) + (plan.n,)
+    reversal = plan.reversal
     for start, block in _product_blocks(plan.dim, plan.factors):
-        cols = out[:, start : start + block.shape[1]].reshape(digits)  # a view
-        cols[...] = block.reshape(digits).transpose(reverse)
+        rows = reversal._digits(block)
+        out[:, start : start + block.shape[1]].reshape(rows.shape)[...] = rows  # a view
     return out
 
 
@@ -455,7 +453,7 @@ def verify_plan(
     is theirs, and no N x N array is built.
     """
     _check_dense_sites(plan.n, plan.d, dense_limit)
-    rows = reverse_digits(np.arange(plan.dim), plan.n, plan.d)
+    rows = plan.reversal.apply(np.arange(plan.dim))
     roots = _dft_roots(plan.dim)
     peaks = []
     for start, block in _product_blocks(plan.dim, plan.factors):
@@ -476,7 +474,8 @@ def fft_apply(plan: FactorizationPlan, x: np.ndarray, inverse: bool = False) -> 
     ``x`` must have shape ``(d**n,)`` or ``(d**n, m)``; in the second case each
     column is transformed.  Any other number of dimensions raises
     ``ValueError``.  The result equals ``apply_structured`` of each factor in
-    turn followed by ``plan.reversal.apply``, bit for bit.
+    turn followed by ``plan.reversal.apply``, bit for bit: that is the call
+    made here, a transpose of the n digit axes with no index table.
 
     The inverse transform conjugates on the way in and out, which applies the
     conjugate-transpose of the (symmetric) DFT matrix.
@@ -485,7 +484,7 @@ def fft_apply(plan: FactorizationPlan, x: np.ndarray, inverse: bool = False) -> 
     _check_states(x, plan.dim, "plan")
     # The caller's array is never written; its conjugate is ours.
     work = _chain(plan.factors, np.conj(x) if inverse else x, owned=inverse)
-    work = reverse_digits(work, plan.n, plan.d)
+    work = plan.reversal.apply(work)
     return np.conj(work, out=work) if inverse else work
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,13 @@ def _check_dense_sites(n: int, d: int, dense_limit: int) -> None:
                 dim = str(d**n)
         dim = dim or f"of about {n * d.bit_length()} bits"
         raise DenseLimitError(f"dimension {dim} exceeds the dense limit {dense_limit}")
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: a numpy integer converts; a bool or a non-integer raises."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _frozen_complex(a) -> np.ndarray:
@@ -595,37 +603,80 @@ class Permutation:
         return f"Permutation(image={self.image!r})"
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Permute vector entries (or matrix rows): equivalent to ``to_matrix() @ x``."""
+        """Permute vector entries (or matrix rows) into a new array: ``to_matrix() @ x``."""
         x = np.asarray(x)
         if x.shape[0] != self.size:
             raise ValueError(f"vector length {x.shape[0]} does not match permutation size {self.size}")
+        return self._gather(x)
+
+    def _gather(self, x: np.ndarray) -> np.ndarray:
         return x[self._index]
 
     def to_matrix(self) -> np.ndarray:
+        _check_dense_sites(1, self.size, DEFAULT_DENSE_LIMIT)
         return np.eye(self.size, dtype=complex)[self._index]
 
 
-def reverse_digits(x: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Reorder the leading axis of ``x`` by the base-d digit reversal on n sites.
+class _DigitReversal(Permutation):
+    """The base-d digit reversal on n sites, held as ``(n, d)``.
 
-    Equals ``digit_reversal(n, d).apply(x)`` but is a transpose of the n
-    digit axes, with no index table.
+    It applies itself by transposing the n digit axes, and equals another
+    reversal exactly when their ``(n, d)`` do: n = 1 is the identity on d
+    entries, and for n >= 2 sigma(1) = d**(n-1) tells the sizes apart.  The
+    hash builds the index table, as only the table can agree with a plain
+    ``Permutation``'s hash.
     """
-    x = np.asarray(x)
-    axes = tuple(range(n - 1, -1, -1)) + tuple(range(n, n + x.ndim - 1))
-    return x.reshape((d,) * n + x.shape[1:]).transpose(axes).reshape(x.shape)
+
+    def __init__(self, n: int, d: int):
+        object.__setattr__(self, "_sites", (n, d))
+
+    @functools.cached_property
+    def _index(self) -> np.ndarray:
+        _check_dense_sites(*self._sites, DEFAULT_DENSE_LIMIT**2)
+        index = self._gather(np.arange(self.size))
+        index.setflags(write=False)
+        return index
+
+    @property
+    def size(self) -> int:
+        n, d = self._sites
+        return d**n
+
+    def __eq__(self, other):
+        if isinstance(other, _DigitReversal):
+            return self._sites == other._sites
+        if isinstance(other, Permutation) and other.size != self.size:
+            return False
+        return super().__eq__(other)
+
+    __hash__ = Permutation.__hash__
+
+    def _digits(self, x: np.ndarray) -> np.ndarray:
+        """A view of ``x`` with its leading axis split into n digit axes, reversed."""
+        n, d = self._sites
+        return x.reshape((d,) * n + x.shape[1:]).transpose(
+            tuple(range(n - 1, -1, -1)) + tuple(range(n, n + x.ndim - 1))
+        )
+
+    def _gather(self, x: np.ndarray) -> np.ndarray:
+        # A copy even at n = 1, where the transpose moves nothing.
+        return self._digits(x).copy().reshape(x.shape)
 
 
 def digit_reversal(n: int, d: int) -> Permutation:
     """Base-d digit-reversal permutation on n sites (big-endian digits).
 
     ``sigma(j)`` reverses the n base-d digits of j; applying it twice gives
-    back the identity.  Built on each call, as the digit reversal of
-    ``arange(d**n)``.
+    back the identity.  The value holds ``(n, d)`` and applies itself as a
+    transpose of the digit axes.  Its d**n index table is built, and kept,
+    only for ``image``, ``to_matrix``, the hash or a comparison with a plain
+    ``Permutation``; past ``DEFAULT_DENSE_LIMIT**2`` entries that raises
+    ``DenseLimitError``.
     """
+    n, d = _integer(n, "digit reversal n"), _integer(d, "digit reversal d")
     if n < 1 or d < 2:
         raise ValueError("digit reversal needs n >= 1 sites of dimension d >= 2")
-    return Permutation(reverse_digits(np.arange(d**n), n, d))
+    return _DigitReversal(n, d)
 
 
 def permute_tensor_factors(p: Permutation, x):

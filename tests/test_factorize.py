@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -14,6 +15,7 @@ from kronfft import (
     Gate,
     GateCounts,
     KronTerm,
+    Permutation,
     PlanFormatError,
     apply_structured,
     basis_projector,
@@ -610,15 +612,46 @@ class TestPlanSizes:
         assert text == plan_to_json(build(3, 3))
         assert plan_to_json(plan_from_json(text)) == text
 
+    @pytest.mark.parametrize(
+        "step,message",
+        [
+            (FourierStep(True), "fourier site must be an integer, got True"),
+            (CPhaseStep(0, 1, 2.5), "cphase level must be an integer, got 2.5"),
+            (CPhaseStep(0, 1.0, 2), "cphase target must be an integer, got 1.0"),
+            (ButterflyStep(True), "butterfly stage must be an integer, got True"),
+            (ButterflyStep(0.0), "butterfly stage must be an integer, got 0.0"),
+            (CPhaseStep(1, 1, 2), "control and target wires must differ"),
+        ],
+    )
+    def test_hand_built_steps_are_checked_before_their_operator(self, step, message):
+        with pytest.raises(ValueError) as raised:
+            step.operator(2, 2)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "step,label",
+        [
+            (FourierStep(np.int64(1)), "fourier@2"),
+            (CPhaseStep(np.int32(0), 1, np.int64(2)), "cr2@1>2"),
+            (ButterflyStep(np.int64(1)), "butterfly@1"),
+        ],
+    )
+    def test_numpy_integer_step_fields_convert(self, step, label):
+        op = step.operator(2, 2)
+        assert op.label == label
+        assert all(type(getattr(step, f.name)) is int for f in dataclasses.fields(step))
+
     def test_built_steps_are_not_checked(self, monkeypatch):
-        # Building stays cheap: only loaded steps and gates run the step rules.
+        # Building stays cheap: loaded steps and gates run the step rules, and
+        # a step runs them again only when its operator is built.
         def refuse(step, noun="gate"):
             raise AssertionError(f"checked {step!r}")
 
         monkeypatch.setattr(_LocalStep, "_check", refuse)
         plan = qft_plan(6, 3)
         plan_to_json(plan)
-        plan.factors
+        with pytest.raises(AssertionError, match=r"^checked FourierStep\(site=0\)$"):
+            plan.factors
 
 
 def stored_site_matrices(plan):
@@ -686,10 +719,10 @@ class TestPlanApplicationOrder:
         forward = x
         for f in plan.factors:
             forward = apply_structured(f, forward)
-        forward = plan.reversal.apply(forward)
+        forward = Permutation(plan.reversal.image).apply(forward)
         assert np.max(np.abs(forward - dft_matrix(8)[:, 1])) < 1e-13
         backward = x
         for f in reversed(plan.factors):
             backward = apply_structured(f, backward)
-        backward = plan.reversal.apply(backward)
+        backward = Permutation(plan.reversal.image).apply(backward)
         assert np.max(np.abs(backward - dft_matrix(8)[:, 1])) > 1e-2

@@ -21,19 +21,24 @@ from kronfft import (
     direct_sum,
     embed_term,
     expand,
+    fft_apply,
+    fft_plan,
     identity,
     kron,
     kron_all,
     omega,
     omega_diag,
     permute_tensor_factors,
+    plan_product,
     qft_rank_experiment,
     r_gate,
     random_rank_one,
     single_site_operator,
     unitarity_residual,
     unitarity_residual_dense,
+    verify_plan,
 )
+from kronfft import tensor
 
 
 def kron_blockwise(a, b):
@@ -414,6 +419,89 @@ class TestDigitReversal:
         assert (p != (0, 2, 1, 3)) is True
         assert repr(p) == "Permutation(image=(0, 2, 1, 3))"
 
+    def test_reversals_equal_by_sites_exactly_when_images_do(self):
+        # Every (n, d) with d**n <= 4096, grouped by size: only equal sizes can match.
+        by_size = {}
+        for d in range(2, 4097):
+            n = 1
+            while d**n <= 4096:
+                by_size.setdefault(d**n, []).append(digit_reversal(n, d))
+                n += 1
+        for group in by_size.values():
+            for p in group:
+                assert all((p == q) == (p.image == q.image) for q in group)
+                plain = Permutation(p.image)
+                assert p == plain and plain == p and hash(p) == hash(plain)
+        assert len(by_size[16]) == 3 and len(by_size[4096]) == 6
+        assert digit_reversal(1, 4) != digit_reversal(1, 8)
+
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [
+            (True, 2, "digit reversal n must be an integer, got True"),
+            (2.0, 2, "digit reversal n must be an integer, got 2.0"),
+            (2, 2.0, "digit reversal d must be an integer, got 2.0"),
+            (2, True, "digit reversal d must be an integer, got True"),
+            (0, 2, "digit reversal needs n >= 1 sites of dimension d >= 2"),
+            (2, 1, "digit reversal needs n >= 1 sites of dimension d >= 2"),
+        ],
+    )
+    def test_sizes_follow_the_integer_rule(self, n, d, message):
+        with pytest.raises(ValueError) as raised:
+            digit_reversal(n, d)
+        assert str(raised.value) == message
+
+    def test_numpy_integer_sizes_convert(self):
+        p = digit_reversal(np.int64(3), np.int32(2))
+        assert p == digit_reversal(3, 2) and p.image == (0, 4, 2, 6, 1, 5, 3, 7)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_apply_is_a_new_array_with_the_gather_bytes(self, n, d):
+        rng = np.random.default_rng(n * 10 + d)
+        p = digit_reversal(n, d)
+        index = np.asarray(p.image)
+        wide = rng.standard_normal((d**n, 6)) + 1j * rng.standard_normal((d**n, 6))
+        inputs = [wide[:, 0], wide[:, :3], wide[:, ::2], np.arange(d**n), np.broadcast_to(1j, (d**n,))]
+        for x in inputs:
+            y = p.apply(x)
+            want = x[index]
+            assert y.shape == want.shape and y.dtype == want.dtype
+            assert y.tobytes() == want.tobytes()
+            assert not np.shares_memory(y, x)
+
+    def test_sixty_four_sites_build_no_table(self):
+        p = digit_reversal(64, 2)
+        s = random_rank_one(64, 2, seed=1)
+        out, want = permute_tensor_factors(p, s), s.reverse_sites()
+        assert out.vectors.tobytes() == want.vectors.tobytes()
+        assert out.weights.tobytes() == want.weights.tobytes()
+        assert p.size == 2**64
+        assert p == digit_reversal(64, 2) and p != digit_reversal(32, 4)
+        assert p != Permutation((1, 0)) and Permutation((1, 0)) != p
+        assert "_index" not in vars(p)
+
+    @pytest.mark.parametrize("n", [25, 64])
+    @pytest.mark.parametrize("ask", [hash, lambda p: p.image, lambda p: p.to_matrix()])
+    def test_tables_past_the_limit_raise(self, n, ask):
+        with pytest.raises(DenseLimitError):
+            ask(digit_reversal(n, 2))
+
+    def test_library_paths_build_no_table(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("built a digit-reversal table")
+
+        monkeypatch.setattr(tensor._DigitReversal, "_index", property(refuse))
+        plan = fft_plan(5, 3)
+        x = np.arange(plan.dim, dtype=complex)
+        assert fft_apply(plan, x).shape == x.shape
+        assert verify_plan(plan).residual < 1e-12
+        plan_product(plan)
+        permute_tensor_factors(plan.reversal, random_rank_one(5, 3, seed=2))
+        assert plan.reversal == digit_reversal(5, 3)
+        with pytest.raises(AssertionError, match="built a digit-reversal table"):
+            hash(plan.reversal)
+
 
 class TestPermutation:
     def test_apply_matches_matrix(self):
@@ -438,6 +526,10 @@ class TestPermutation:
         assert hash(p) == hash(Permutation([1, 2, 0]))
         with pytest.raises(AttributeError):
             p.image = (0, 1, 2)
+
+    def test_to_matrix_is_dense_limited(self):
+        with pytest.raises(DenseLimitError, match="^dimension 4097 exceeds the dense limit 4096$"):
+            Permutation(range(4097)).to_matrix()
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
